@@ -801,9 +801,16 @@ _SHRINK_METHODS = {"pop", "popleft", "popitem", "clear", "remove", "discard",
                    "shrink", "evict", "trim"}
 
 
+#: Array constructors whose first positional argument is the size: the
+#: result cannot grow in place, so a subscript store into it (scalar,
+#: slice or fancy index) overwrites slots.
+_SIZED_CONSTRUCTORS = {"empty", "zeros", "ones", "full"}
+
+
 def _is_preallocation(value: ast.expr) -> bool:
     """Fixed-size container constructions: ``[None] * n``, comprehensions
-    over a known quantity, ``dict.fromkeys(...)``, ``deque(maxlen=...)``."""
+    over a known quantity, ``dict.fromkeys(...)``, ``deque(maxlen=...)``,
+    sized array constructors (``np.empty(n, dtype=object)``)."""
     if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult) \
             and (isinstance(value.left, (ast.List, ast.Tuple))
                  or isinstance(value.right, (ast.List, ast.Tuple))):
@@ -813,6 +820,8 @@ def _is_preallocation(value: ast.expr) -> bool:
     if isinstance(value, ast.Call):
         fn = (_dotted_name(value.func) or "").rsplit(".", 1)[-1]
         if fn == "fromkeys":
+            return True
+        if fn in _SIZED_CONSTRUCTORS and value.args:
             return True
         if any(kw.arg == "maxlen" for kw in value.keywords):
             return True
@@ -827,8 +836,8 @@ def _container_events(cls: ast.ClassDef) -> tuple[dict[str, list[ast.AST]],
     a shrink-method call, ``del self.x[...]``, reassignment outside
     ``__init__``, a ``len(self.x)`` comparison (capacity check), a
     ``maxlen=``-bounded constructor, or a fixed-size preallocation
-    (``[None] * n``, a comprehension) whose subscript writes are slot
-    updates, not growth.
+    (``[None] * n``, a comprehension, ``np.empty(n)``) whose subscript
+    writes are slot updates, not growth.
     """
     grows: dict[str, list[ast.AST]] = {}
     bounded: set[str] = set()

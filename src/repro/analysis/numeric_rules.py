@@ -53,18 +53,20 @@ _FLOAT64_SAFE_BITS = 53
 
 _NUMPY_INT_DTYPES = {"int64", "uint64", "int32", "uint32", "intp"}
 
-#: Per-module dataflow cache, keyed by SourceFile identity.
-_FACTS_CACHE: dict[int, ModuleFacts] = {}
-
 
 def _facts(src: SourceFile) -> ModuleFacts | None:
+    """Dataflow facts of ``src``, computed once and kept on the object.
+
+    Not a module-level cache keyed by ``id(src)``: ids are recycled as
+    soon as a ``SourceFile`` is collected, so a later file could be
+    handed an earlier file's facts.
+    """
     if src.tree is None:
         return None
-    cached = _FACTS_CACHE.get(id(src))
-    if cached is None:
-        cached = analyze_module(src.tree)
-        _FACTS_CACHE[id(src)] = cached
-    return cached
+    facts: ModuleFacts | None = src.__dict__.get("_numeric_facts")
+    if facts is None:
+        facts = src.__dict__["_numeric_facts"] = analyze_module(src.tree)
+    return facts
 
 
 def _rel_parts(src: SourceFile) -> tuple[str, ...]:

@@ -10,15 +10,30 @@ shard drains up to ``max_batch`` requests at a time (waiting at most
 ``max_delay`` seconds for the window to fill), dispatching consecutive
 runs of the same coalescable operation through one batch-kernel call.
 
-Ordering: each shard queue is strict FIFO and only *consecutive* runs of
-the same operation are fused, so per-shard program order is preserved —
-a client that submits ``insert(k)`` then ``lookup(k)`` to the same shard
-observes its own write, batching or not.
+The unit of work is the **run** (:class:`_Run`), not the request: one
+same-op stretch of one submission bound for one shard, held as columns
+— the op, a float64 key-or-point column, the submission slots those
+rows answer, the completion sink and the submitted stamp.  A window is
+routed once, as columns (:meth:`ShardedStore.route_columns`), split into
+runs with one stable ``argsort`` and enqueued under one condition take
+per shard; a worker concatenates the columns of consecutive same-op
+runs, makes one kernel call and hands every run its slice of the
+answers in one ``complete_many``.  No per-request object exists between
+``submit_window`` and the kernel.
 
-Admission control: queues are bounded.  A submission that finds its
-shard queue full is answered immediately with
+Ordering: each shard queue is strict FIFO, a window's rows keep their
+submission order inside each shard (the ``argsort`` is stable), every
+non-coalescable request (range, kNN, insert, delete) is a run of its
+own that executes scalar, and only *consecutive* runs of the same
+coalescable operation are fused — so per-shard program order is
+preserved: a client that submits ``insert(k)`` then ``lookup(k)`` to
+the same shard observes its own write, batching or not.
+
+Admission control: queues are bounded, in requests.  A submission that
+finds its shard queue full is answered immediately with
 :class:`~repro.serve.requests.Overloaded` (a response, not an
-exception) and counted in :attr:`ServerStats.shed`.
+exception) and counted in :attr:`ServerStats.shed`; a run that only
+partly fits is split, its head queued and its tail shed.
 
 Shutdown: :meth:`Coalescer.close` is idempotent and never drops a
 queued request silently — the stopping flag flips under every shard's
@@ -35,14 +50,17 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.core.lockorder import make_condition, make_lock
 from repro.serve.mp import ProcessShardExecutor, WorkerDied
 from repro.serve.requests import (
     COALESCABLE_OPS,
+    OPS_BY_CODE,
     WRITE_OPS,
+    Op,
     Overloaded,
     Request,
     Response,
@@ -53,57 +71,58 @@ from repro.serve.stats import ServerStats
 
 __all__ = ["Coalescer", "Window"]
 
+#: Which op codes fuse into batch-kernel calls (indexed by ``Op.code``).
+_FUSABLE = np.array([op in COALESCABLE_OPS for op in OPS_BY_CODE])
 
-@dataclass
-class _Pending:
-    """A queued request plus its completion plumbing.
+#: The slot column of every single-request run (never written to).
+_SLOT0 = np.zeros(1, dtype=np.intp)
 
-    Exactly one of ``future`` / ``window`` is set: the future path wraps
-    results in :class:`Response` objects, the window path stores raw
-    values into a shared per-window slot array (cheaper — no per-request
-    synchronization object).
-    """
 
-    request: Request
-    submitted: float
-    future: Future | None = field(default=None)
-    callback: Callable[[object], None] | None = field(default=None)
-    window: "Window | None" = field(default=None)
-    slot: int = 0
+def _filled(count: int, value: object) -> np.ndarray:
+    """Object column holding ``value`` ``count`` times, whatever its type
+    (``fill`` stores a list or tuple as one object, never broadcasts it)."""
+    out = np.empty(count, dtype=object)
+    out.fill(value)
+    return out
 
 
 class Window:
-    """Completion tracker for one pipelined submission window.
+    """Completion sink for one pipelined submission window.
 
-    Workers store each request's raw result into its slot and the last
-    completion sets one event — per-request cost is a list store and a
-    counted decrement, versus a full ``Future`` (own condition variable,
-    ``Response`` wrapper) on the scalar path.  ``wait`` returns the slot
-    array; shed requests hold :class:`Overloaded` instances, failures
-    re-raise the first recorded exception.
+    Workers store each run's answers into its slots with one
+    fancy-index assignment and one counted decrement; the last
+    completion sets one event — versus a full ``Future`` (own condition
+    variable, ``Response`` wrapper) per request on the scalar path.
+    ``wait`` returns the slots as a plain list; shed requests hold
+    :class:`Overloaded` instances, failures re-raise the first recorded
+    exception.
     """
 
     __slots__ = ("results", "_remaining", "_event", "_lock", "_error")
 
     def __init__(self, size: int) -> None:
-        self.results: list[object] = [None] * size
+        self.results = np.empty(size, dtype=object)
         self._remaining = size
         self._event = threading.Event()
         self._lock = make_lock("Window._lock")
         self._error: BaseException | None = None
+        if size == 0:
+            self._event.set()
 
-    def complete(self, slot: int, value: object) -> None:
-        self.results[slot] = value
+    def complete_many(self, slots: np.ndarray, values: object) -> None:
+        """Store one run's answers: ``values`` is an object column aligned
+        with ``slots`` (or one value for all of them)."""
+        self.results[slots] = values
         with self._lock:
-            self._remaining -= 1
+            self._remaining -= len(slots)
             if self._remaining == 0:
                 self._event.set()
 
-    def fail(self, slot: int, error: BaseException) -> None:
+    def fail_many(self, slots: np.ndarray, error: BaseException) -> None:
         with self._lock:
             if self._error is None:
                 self._error = error
-        self.complete(slot, None)
+        self.complete_many(slots, None)
 
     def wait(self) -> list[object]:
         self._event.wait()
@@ -111,22 +130,94 @@ class Window:
             error = self._error
         if error is not None:
             raise error
-        return self.results
+        return self.results.tolist()
+
+
+class _Futures:
+    """Completion sink resolving one ``Future`` per slot.
+
+    Results are wrapped in :class:`Response`; ``callback`` runs in the
+    worker thread with each raw value before its future resolves (the
+    server uses it to fill the result cache).
+    """
+
+    __slots__ = ("futures", "callback")
+
+    def __init__(self, futures: list[Future],
+                 callback: Callable[[object], None] | None = None) -> None:
+        self.futures = futures
+        self.callback = callback
+
+    def complete_many(self, slots: np.ndarray, values: np.ndarray) -> None:
+        futures = self.futures
+        callback = self.callback
+        for slot, value in zip(slots.tolist(), values.tolist()):
+            if isinstance(value, Response) and not value.ok:
+                # Typed failure responses (Overloaded, WorkerError) pass
+                # through unwrapped so clients can branch on them.
+                futures[slot].set_result(value)
+            else:
+                if callback is not None:
+                    callback(value)
+                futures[slot].set_result(Response(value=value))
+
+    def fail_many(self, slots: np.ndarray, error: BaseException) -> None:
+        for slot in slots.tolist():
+            self.futures[slot].set_exception(error)
+
+
+class _Run:
+    """One same-op stretch of one submission, bound for one shard.
+
+    ``column`` holds the rows' keys (or points) as float64 — what the
+    batch kernels consume — and ``slots`` the positions in ``requests``
+    (and in ``sink``) those rows belong to.  A coalescable run of any
+    length can be split and fused with its same-op neighbours; every
+    other op forms a run of length 1 that executes ``requests[slot]``
+    through the scalar store path, as does a coalescable run that ends
+    up alone in its batch.
+    """
+
+    __slots__ = ("op", "column", "slots", "sink", "submitted", "requests")
+
+    def __init__(self, op: Op, column: np.ndarray, slots: np.ndarray,
+                 sink: "Window | _Futures", submitted: float,
+                 requests: Sequence[Request]) -> None:
+        self.op = op
+        self.column = column
+        self.slots = slots
+        self.sink = sink
+        self.submitted = submitted
+        self.requests = requests
+
+    def split(self, count: int) -> tuple["_Run", "_Run"]:
+        """The first ``count`` rows and the rest, as two runs."""
+        return (
+            _Run(self.op, self.column[:count], self.slots[:count],
+                 self.sink, self.submitted, self.requests),
+            _Run(self.op, self.column[count:], self.slots[count:],
+                 self.sink, self.submitted, self.requests),
+        )
+
+    def resolve(self, value: object) -> None:
+        """Answer every row with the same ``value`` (typed failures)."""
+        self.sink.complete_many(self.slots, _filled(len(self.slots), value))
 
 
 class Coalescer:
-    """Per-shard request queues drained by batch-dispatching workers.
+    """Per-shard run queues drained by batch-dispatching workers.
 
     Args:
         store: the built :class:`ShardedStore` requests execute against.
         stats: shared :class:`ServerStats` sink.
-        max_batch: largest run drained into one batch-kernel call;
+        max_batch: most requests drained into one batch-kernel call;
             ``1`` disables coalescing (every request runs scalar), which
             is exactly the E19 baseline configuration.
         max_delay: longest time (seconds) a worker waits for its window
             to fill once at least one request is queued; ``0`` drains
             immediately.
-        capacity: per-shard queue bound for admission control.
+        capacity: per-shard queue bound (in requests) for admission
+            control.
         executor: optional
             :class:`~repro.serve.mp.ProcessShardExecutor`; when set,
             fused same-op runs execute in that shard's worker *process*
@@ -149,7 +240,10 @@ class Coalescer:
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.capacity = capacity
-        self._queues: list[deque[_Pending]] = [deque() for _ in range(store.num_shards)]
+        self._queues: list[deque[_Run]] = [deque() for _ in range(store.num_shards)]
+        # Queued *requests* per shard (a queue's length counts runs);
+        # read and written under the shard's condition.
+        self._depths = [0] * store.num_shards
         self._conds = [make_condition("Coalescer._conds", rank=s)
                        for s in range(store.num_shards)]
         self._workers: list[threading.Thread] = []
@@ -157,100 +251,119 @@ class Coalescer:
 
     # -- client side -------------------------------------------------------
     def submit(self, request: Request,
-               callback: Callable[[object], None] | None = None) -> Future:
+               callback: Callable[[object], None] | None = None,
+               home: int | None = None) -> Future:
         """Enqueue ``request`` on its home shard; resolve with a Response.
 
         Returns a future that resolves to :class:`Response` (or
         :class:`Overloaded` if the shard queue was full — already
         resolved in that case, no waiting).  ``callback`` runs in the
         worker thread with the raw result value before the future
-        resolves; the server uses it to fill the result cache.
+        resolves; the server uses it to fill the result cache.  ``home``
+        is the request's home shard when the caller has already routed
+        it (the server does, to build the cache key).
         """
-        shard = self.store.route(request)[0] if request.op in COALESCABLE_OPS \
-            else self._home_shard(request)
+        if home is None:
+            shards = self.store.route(request)
+            home = shards[0] if shards else 0
         fut: Future = Future()
-        pending = _Pending(request, time.perf_counter(), future=fut, callback=callback)
-        cond = self._conds[shard]
-        with cond:
-            if self._stopping:
-                raise RuntimeError("coalescer is closed; no new requests accepted")
-            depth = len(self._queues[shard])
-            if depth >= self.capacity:
-                self.stats.record_shed()
-                fut.set_result(Overloaded(depth=depth))
-                return fut
-            self._queues[shard].append(pending)
-            cond.notify()
-        self.stats.record_submit(shard, depth + 1)
+        column = np.array(
+            [request.point if self.store.multi_dim else request.key], dtype=np.float64)
+        self._admit(home, [_Run(request.op, column, _SLOT0, _Futures([fut], callback),
+                                time.perf_counter(), (request,))], 1)
         return fut
 
     def submit_many(self, requests: Sequence[Request]) -> list[Future]:
-        """Enqueue a window of requests with vectorized routing.
+        """Enqueue a window of requests, one ``Future`` each.
 
-        Routing runs once over the whole window
-        (:meth:`ShardedStore.route_home_batch`), each shard's condition
-        variable is taken once, and submit counters update once per
-        shard — the admission-side analog of execution coalescing.  Both
-        E19 arms use this path, so the measured gap is purely the
-        execution batching.  Per-client, per-shard FIFO order is
-        preserved (the window is walked in submission order).  Requests
+        Admission is the same columnar path as :meth:`submit_window`;
+        only the completion sink differs.  Both E19 arms use this path,
+        so the measured gap is purely the execution batching.  Requests
         that find their shard queue full resolve immediately to
         :class:`Overloaded`.
         """
-        now = time.perf_counter()
-        pendings = [_Pending(r, now, future=Future()) for r in requests]
-        self._enqueue_window(pendings)
-        return [pending.future for pending in pendings]  # type: ignore[misc]
+        futures: list[Future] = [Future() for _ in requests]
+        self._enqueue(requests, _Futures(futures))
+        return futures
 
     def submit_window(self, requests: Sequence[Request]) -> Window:
         """Enqueue a window completing into one shared :class:`Window`.
 
-        The cheapest submission path: vectorized routing, one condition
-        take per shard, and slot-array completion instead of a
+        The cheapest submission path: slot-array completion instead of a
         ``Future`` per request.  ``wait()`` on the returned window gives
         the raw result values in submission order (shed requests hold
         :class:`Overloaded`).
         """
-        now = time.perf_counter()
         window = Window(len(requests))
-        pendings = [
-            _Pending(r, now, window=window, slot=i) for i, r in enumerate(requests)
-        ]
-        self._enqueue_window(pendings)
+        self._enqueue(requests, window)
         return window
 
-    def _enqueue_window(self, pendings: list[_Pending]) -> None:
-        """Group a routed window by home shard and enqueue with shedding.
+    def _enqueue(self, requests: Sequence[Request], sink: "Window | _Futures") -> None:
+        """Route a window once, cut it into runs, enqueue them per shard.
 
-        Raises ``RuntimeError`` if the coalescer is closed; shard groups
-        enqueued before the closed flag was observed are still drained
-        and resolved (nothing queued is ever dropped).
+        Per-client, per-shard FIFO order is preserved: the stable
+        ``argsort`` keeps each shard's rows in submission order, and a
+        new run starts wherever the shard or the op changes and at every
+        non-coalescable row.  Raises ``RuntimeError`` if the coalescer
+        is closed; shard groups enqueued before the closed flag was
+        observed are still drained and resolved (nothing queued is ever
+        dropped).
         """
-        homes = self.store.route_home_batch([p.request for p in pendings])
-        by_shard: dict[int, list[_Pending]] = {}
-        for pending, shard in zip(pendings, homes):
-            by_shard.setdefault(shard, []).append(pending)
-        for shard, group in by_shard.items():
-            cond = self._conds[shard]
-            with cond:
-                if self._stopping:
-                    raise RuntimeError(
-                        "coalescer is closed; no new requests accepted")
-                depth = len(self._queues[shard])
-                room = max(0, self.capacity - depth)
-                taken = group[:room]
-                self._queues[shard].extend(taken)
-                cond.notify()
-            if taken:
-                self.stats.record_submit_many(shard, len(taken), depth + len(taken))
-            for pending in group[room:]:
-                self.stats.record_shed()
-                self._resolve(pending, Overloaded(depth=self.capacity))
+        count = len(requests)
+        if count == 0:
+            return
+        now = time.perf_counter()
+        codes, homes, column = self.store.route_columns(requests)
+        order = np.argsort(homes, kind="stable")
+        homes = homes[order]
+        codes = codes[order]
+        cuts = np.flatnonzero(
+            (homes[1:] != homes[:-1]) | (codes[1:] != codes[:-1]) | ~_FUSABLE[codes[1:]]
+        ) + 1
+        starts = [0, *cuts.tolist()]
+        by_shard: dict[int, list[_Run]] = {}
+        for start, stop, shard, code in zip(
+                starts, [*starts[1:], count], homes[starts].tolist(), codes[starts].tolist()):
+            rows = order[start:stop]
+            by_shard.setdefault(shard, []).append(
+                _Run(OPS_BY_CODE[code], column[rows], rows, sink, now, requests))
+        totals = np.bincount(homes).tolist()
+        for shard, runs in by_shard.items():
+            self._admit(shard, runs, totals[shard])
 
-    def _home_shard(self, request: Request) -> int:
-        """First involved shard — hosts the queue slot for fan-out ops."""
-        shards = self.store.route(request)
-        return shards[0] if shards else 0
+    def _admit(self, shard: int, runs: list[_Run], total: int) -> None:
+        """Queue ``runs`` (``total`` requests) on ``shard`` under one
+        condition take, shedding whatever does not fit in the remaining
+        capacity (counted in requests: a run that only partly fits is
+        split)."""
+        cond = self._conds[shard]
+        queue = self._queues[shard]
+        shed: list[_Run] = []
+        with cond:
+            if self._stopping:
+                raise RuntimeError("coalescer is closed; no new requests accepted")
+            depth = self._depths[shard]
+            taken = min(total, self.capacity - depth)
+            if taken < total:
+                # Runs are admitted in order until the one that crosses
+                # the bound; it is split and everything after it is shed.
+                room = taken
+                for i, run in enumerate(runs):
+                    size = len(run.slots)
+                    if size > room:
+                        break
+                    room -= size
+                head, tail = run.split(room)
+                shed = [tail, *runs[i + 1:]]
+                runs = [*runs[:i], head] if room else runs[:i]
+                self.stats.record_shed(total - taken)
+            queue.extend(runs)
+            self._depths[shard] = depth + taken
+            cond.notify()
+        if taken:
+            self.stats.record_submit_many(shard, taken, depth + taken)
+        for run in shed:
+            run.resolve(Overloaded(depth=self.capacity))
 
     # -- worker side -------------------------------------------------------
     def start(self) -> None:
@@ -313,7 +426,7 @@ class Coalescer:
                 if not batch:
                     break
                 self._dispatch(s, batch)
-                served += len(batch)
+                served += sum(len(run.slots) for run in batch)
         return served
 
     def _worker(self, shard: int) -> None:
@@ -324,106 +437,103 @@ class Coalescer:
             if batch:
                 self._dispatch(shard, batch)
 
-    def _take_batch(self, shard: int, wait: bool) -> list[_Pending] | None:
-        """Pop up to ``max_batch`` requests; None signals worker shutdown."""
+    def _take_batch(self, shard: int, wait: bool) -> list[_Run] | None:
+        """Pop runs worth up to ``max_batch`` requests (splitting the run
+        that crosses the bound); None signals worker shutdown."""
         cond = self._conds[shard]
         queue = self._queues[shard]
         with cond:
+            depths = self._depths
             if wait:
                 while not queue and not self._stopping:
                     cond.wait()
                 if not queue and self._stopping:
                     return None
-                if (self.max_delay > 0 and len(queue) < self.max_batch
+                if (self.max_delay > 0 and depths[shard] < self.max_batch
                         and not self._stopping):
                     deadline = time.monotonic() + self.max_delay
-                    while len(queue) < self.max_batch and not self._stopping:
+                    while depths[shard] < self.max_batch and not self._stopping:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             break
                         cond.wait(remaining)
-            batch = []
-            while queue and len(batch) < self.max_batch:
-                batch.append(queue.popleft())
+            batch: list[_Run] = []
+            room = self.max_batch
+            while queue and room:
+                run = queue[0]
+                size = len(run.slots)
+                if size > room:
+                    run, queue[0] = run.split(room)
+                    size = room
+                else:
+                    queue.popleft()
+                batch.append(run)
+                room -= size
+            depths[shard] -= self.max_batch - room
             return batch
 
-    def _dispatch(self, shard: int, batch: list[_Pending]) -> None:
+    def _dispatch(self, shard: int, batch: list[_Run]) -> None:
         """Execute a drained batch, fusing consecutive same-op runs."""
         i = 0
         n = len(batch)
         while i < n:
-            op = batch[i].request.op
+            run = batch[i]
+            op = run.op
+            j = i + 1
             if op in COALESCABLE_OPS:
-                j = i
-                while j < n and batch[j].request.op is op:
+                while j < n and batch[j].op is op:
                     j += 1
-                run = batch[i:j]
-                self.stats.record_batch(shard, len(run))
-                if len(run) == 1:
-                    self._run_scalar(run[0])
-                else:
-                    self._run_batch(shard, op, run)
-                i = j
-            else:
-                self._run_scalar(batch[i])
-                i += 1
+                fused = batch[i:j]
+                rows = sum(len(r.slots) for r in fused)
+                self.stats.record_batch(shard, rows)
+                if rows > 1:
+                    self._run_batch(shard, op, fused)
+                    i = j
+                    continue
+            self._run_scalar(run)
+            i = j
 
-    def _run_batch(self, shard: int, op: object, run: list[_Pending]) -> None:
+    def _run_batch(self, shard: int, op: Op, fused: list[_Run]) -> None:
+        """One kernel call over the fused runs' concatenated columns."""
         target = self.executor if self.executor is not None else self.store
+        column = (fused[0].column if len(fused) == 1
+                  else np.concatenate([run.column for run in fused]))
         try:
-            values = target.execute_batch(shard, op, [p.request for p in run])  # type: ignore[arg-type]
+            values = target.execute_columns(shard, op, column)
         except WorkerDied as exc:
             # The shard's worker process died holding this window; the
             # executor has already restarted it.  Answer every in-flight
             # request with a typed response — a crash sheds cleanly, it
             # never hangs a window or leaks a BrokenPipeError.
-            for p in run:
-                self._resolve(p, WorkerError(shard=exc.shard, reason=exc.reason))
+            error = WorkerError(shard=exc.shard, reason=exc.reason)
+            for run in fused:
+                run.resolve(error)
             return
         except Exception as exc:  # pragma: no cover - defensive
-            for p in run:
-                self._reject(p, exc)
+            for run in fused:
+                run.sink.fail_many(run.slots, exc)
             return
         now = time.perf_counter()
-        self.stats.record_done_many([now - p.submitted for p in run])
-        for p, value in zip(run, values):
-            if p.callback is not None:
-                p.callback(value)
-            self._resolve(p, value)
+        self.stats.record_done_many([now - run.submitted for run in fused],
+                                    counts=[len(run.slots) for run in fused])
+        start = 0
+        for run in fused:
+            stop = start + len(run.slots)
+            run.sink.complete_many(run.slots, values[start:stop])
+            start = stop
 
-    def _run_scalar(self, pending: _Pending) -> None:
+    def _run_scalar(self, run: _Run) -> None:
+        """A run of length 1 through the scalar store path."""
         try:
-            value = self.store.execute(pending.request)
+            value = self.store.execute(run.requests[run.slots[0]])
         except Exception as exc:
-            self._reject(pending, exc)
+            run.sink.fail_many(run.slots, exc)
             return
-        latency = time.perf_counter() - pending.submitted
-        self.stats.record_done(latency, write=pending.request.op in WRITE_OPS)
-        if pending.callback is not None:
-            pending.callback(value)
-        self._resolve(pending, value)
-
-    def _resolve(self, pending: _Pending, value: object) -> None:
-        """Deliver a raw result through whichever completion path is wired."""
-        if pending.window is not None:
-            pending.window.complete(pending.slot, value)
-        else:
-            assert pending.future is not None
-            if isinstance(value, Response) and not value.ok:
-                # Typed failure responses (Overloaded, WorkerError) pass
-                # through unwrapped so clients can branch on them.
-                pending.future.set_result(value)
-            else:
-                pending.future.set_result(Response(value=value))
-
-    def _reject(self, pending: _Pending, error: BaseException) -> None:
-        if pending.window is not None:
-            pending.window.fail(pending.slot, error)
-        else:
-            assert pending.future is not None
-            pending.future.set_exception(error)
+        self.stats.record_done(time.perf_counter() - run.submitted,
+                               write=run.op in WRITE_OPS)
+        run.resolve(value)
 
     # -- introspection -----------------------------------------------------
     def queue_depths(self) -> list[int]:
-        """Current per-shard queue lengths (racy snapshot, fine for stats)."""
-        return [len(q) for q in self._queues]
+        """Current per-shard queued requests (racy snapshot, fine for stats)."""
+        return list(self._depths)

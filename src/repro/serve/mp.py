@@ -145,16 +145,19 @@ def _shard_worker_main(conn: "Connection", manifest: ShardManifest) -> None:
 
 
 def _run_batch(view: object, op: Op, payload: object) -> list[object]:
-    """Answer one fused same-op window against the mapped view."""
+    """Answer one fused same-op window against the mapped view.
+
+    Replies with a plain list (``contains`` answers as Python bools): an
+    object ndarray pickles through the same list plus a reconstruction
+    step on each side, so the list is the cheaper wire form.
+    """
+    column = np.asarray(payload, dtype=np.float64)
     if op is Op.LOOKUP:
-        keys = np.asarray(payload, dtype=np.float64)
-        return list(view.lookup_batch(keys))  # type: ignore[attr-defined]
+        return view.lookup_batch(column).tolist()  # type: ignore[attr-defined]
     if op is Op.CONTAINS:
-        keys = np.asarray(payload, dtype=np.float64)
-        return [bool(b) for b in view.contains_batch(keys)]  # type: ignore[attr-defined]
+        return view.contains_batch(column).tolist()  # type: ignore[attr-defined]
     if op is Op.POINT_QUERY:
-        pts = np.asarray(payload, dtype=np.float64)
-        return list(view.point_query_batch(pts))  # type: ignore[attr-defined]
+        return view.point_query_batch(column).tolist()  # type: ignore[attr-defined]
     raise ValueError(f"op {op!r} is not process-dispatchable")
 
 
@@ -350,16 +353,17 @@ class ProcessShardExecutor:
         """Scalar fallback: runs on the parent store (always current)."""
         return self.store.execute(request)
 
-    def execute_batch(self, shard: int, op: Op,
-                      requests: Sequence[Request]) -> list[object]:
-        """Ship one fused same-op window to the shard's worker process.
+    def execute_columns(self, shard: int, op: Op, column: np.ndarray) -> np.ndarray:
+        """Ship one fused same-op run's column to the shard's worker process.
 
-        The dispatching thread blocks on the pipe reply — releasing the
-        GIL — while the worker runs the batch kernel against its mapped
-        snapshot.  Raises :class:`WorkerDied` (after restarting the
-        worker) if the process dies or stops replying; request-level
-        exceptions raised inside the worker re-raise here unchanged, so
-        the process backend fails identically to the thread backend.
+        Same contract as :meth:`ShardedStore.execute_columns` (keys or
+        points in, aligned object ndarray out).  The dispatching thread
+        blocks on the pipe reply — releasing the GIL — while the worker
+        runs the batch kernel against its mapped snapshot.  Raises
+        :class:`WorkerDied` (after restarting the worker) if the process
+        dies or stops replying; request-level exceptions raised inside
+        the worker re-raise here unchanged, so the process backend fails
+        identically to the thread backend.
 
         Queued runs were routed at enqueue time, so a tuner rebalance
         may have moved some keys off this shard while the run waited:
@@ -371,18 +375,15 @@ class ProcessShardExecutor:
         proves the worker's snapshot and the routing snapshot describe
         the same partition.
         """
-        if op is Op.POINT_QUERY:
-            payload: list[object] = [r.point for r in requests]
-        else:
-            payload = [float(r.key) for r in requests]  # type: ignore[arg-type]
         while True:
             version = self.store.bounds_version
-            stray = self.store.stray_rows(shard, op, requests)
+            stray = self.store.stray_rows(shard, column)
             if stray.size:
-                stray_set = {int(i) for i in stray}
-                shipped = [p for i, p in enumerate(payload) if i not in stray_set]
+                kept = np.ones(len(column), dtype=bool)
+                kept[stray] = False
+                shipped = column[kept]
             else:
-                shipped = payload
+                shipped = column
             with self._pipe_locks[shard]:
                 self._guard_alive(shard)
                 self._sync_shard(shard)
@@ -400,16 +401,21 @@ class ProcessShardExecutor:
         if kind == "err":
             assert isinstance(value, BaseException)
             raise value
+        # fromiter keeps each answer one object (a tuple value stays a tuple).
+        values = np.fromiter(value, dtype=object, count=len(shipped))
         if not stray.size:
-            return value  # type: ignore[return-value]
-        out: list[object] = [None] * len(requests)
-        worker_values = iter(value)  # type: ignore[arg-type]
-        for i in range(len(requests)):
-            if i in stray_set:
-                out[i] = self.store.execute(requests[i])
-            else:
-                out[i] = next(worker_values)
+            return values
+        out = np.empty(len(column), dtype=object)
+        out[kept] = values
+        for i in stray.tolist():
+            out[i] = self.store.read_scalar(op, column[i])
         return out
+
+    def execute_batch(self, shard: int, op: Op,
+                      requests: Sequence[Request]) -> list[object]:
+        """:meth:`execute_columns` for a run given as ``Request`` objects."""
+        return self.execute_columns(
+            shard, op, self.store.request_column(op, requests)).tolist()
 
     def _guard_alive(self, shard: int) -> None:
         """Restart a worker found dead before any bytes are committed."""

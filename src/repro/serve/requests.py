@@ -19,6 +19,7 @@ __all__ = [
     "Response",
     "Overloaded",
     "WorkerError",
+    "OPS_BY_CODE",
     "COALESCABLE_OPS",
     "READ_OPS",
     "WRITE_OPS",
@@ -31,7 +32,21 @@ class Op(enum.Enum):
     ``LOOKUP``/``CONTAINS``/``RANGE_1D`` target one-dimensional stores;
     ``POINT_QUERY``/``RANGE_QUERY``/``KNN`` target multi-dimensional
     ones; ``INSERT``/``DELETE`` require a mutable underlying index.
+
+    Every member also carries ``code``, its position in declaration
+    order: the serving layer extracts a window's ops as one small-int
+    column and classifies them with table lookups, because hashing an
+    enum member per request (``op in COALESCABLE_OPS``) runs a
+    Python-level ``__hash__``.
     """
+
+    code: int
+
+    def __new__(cls, value: str) -> "Op":
+        obj = object.__new__(cls)
+        obj._value_ = value
+        obj.code = len(cls.__members__)
+        return obj
 
     LOOKUP = "lookup"
     CONTAINS = "contains"
@@ -42,6 +57,9 @@ class Op(enum.Enum):
     INSERT = "insert"
     DELETE = "delete"
 
+
+#: ``Op.code`` -> member: turns a window's op-code column back into ops.
+OPS_BY_CODE = tuple(Op)
 
 #: Scalar point-shaped reads the coalescer may batch into ``*_batch`` kernels.
 COALESCABLE_OPS = frozenset({Op.LOOKUP, Op.CONTAINS, Op.POINT_QUERY})

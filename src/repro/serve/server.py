@@ -62,12 +62,16 @@ class IndexServer:
                  max_batch: int = 256, max_delay: float = 0.001,
                  capacity: int = 4096, cache_size: int = 0,
                  cache_ttl: float | None = None,
-                 backend: str = "thread") -> None:
+                 backend: str = "thread", *,
+                 _store: ShardedStore | None = None) -> None:
         if backend not in ("thread", "process"):
             raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
         self.backend = backend
-        self._store = ShardedStore(factory, num_shards=num_shards)
-        self._stats = ServerStats(num_shards)
+        # ``_store`` is from_snapshot's hand-over of an already restored
+        # store (private: everyone else gets a fresh, unbuilt one).
+        self._store = (_store if _store is not None
+                       else ShardedStore(factory, num_shards=num_shards))
+        self._stats = ServerStats(self._store.num_shards)
         self._cache = ResultCache(capacity=cache_size, ttl=cache_ttl)
         self._executor: ProcessShardExecutor | None = None
         self._coalescer = Coalescer(
@@ -196,11 +200,7 @@ class IndexServer:
             store._factory, num_shards=store.num_shards,
             max_batch=max_batch, max_delay=max_delay, capacity=capacity,
             cache_size=cache_size, cache_ttl=cache_ttl, backend=backend,
-        )
-        server._store = store
-        server._coalescer = Coalescer(
-            store, server._stats,
-            max_batch=max_batch, max_delay=max_delay, capacity=capacity,
+            _store=store,
         )
         server._start_serving()
         return server
@@ -239,7 +239,8 @@ class IndexServer:
                 return fut
             self._stats.record_cache(False)
             return self._coalescer.submit(
-                request, callback=lambda value: self._cache.put(key, value)
+                request, callback=lambda value: self._cache.put(key, value),
+                home=shards[0] if shards else 0,
             )
         return self._coalescer.submit(request)
 

@@ -69,11 +69,32 @@ STORE_SNAPSHOT_VERSION = 1
 
 _STORE_META = "store.json"
 
-#: Single-key ops routed by one vectorized ``searchsorted`` in 1-d stores.
-_KEYED_OPS = frozenset({Op.LOOKUP, Op.CONTAINS, Op.INSERT, Op.DELETE})
+#: Per-op-code routing tables: which ops carry a key (1-d) or a point
+#: (multi-d) that one vectorized ``searchsorted`` routes.  Indexed with a
+#: window's op-code column, so classifying a window never hashes an enum
+#: member per request.
 
-#: Single-point ops routed by one vectorized encode in multi-d stores.
-_POINT_OPS = frozenset({Op.POINT_QUERY, Op.INSERT, Op.DELETE})
+
+def _code_table(ops: Sequence[Op]) -> np.ndarray:
+    table = np.zeros(len(Op), dtype=bool)
+    table[[op.code for op in ops]] = True
+    return table
+
+
+_KEY_ROUTED = _code_table([Op.LOOKUP, Op.CONTAINS, Op.INSERT, Op.DELETE])
+_POINT_ROUTED = _code_table([Op.POINT_QUERY, Op.INSERT, Op.DELETE])
+
+#: Coalescable op -> the shard index's batch kernel.
+_KERNELS = {
+    Op.LOOKUP: "lookup_batch",
+    Op.CONTAINS: "contains_batch",
+    Op.POINT_QUERY: "point_query_batch",
+}
+
+
+def _as_objects(values: np.ndarray) -> np.ndarray:
+    """A kernel's answers as an object ndarray (``bool_`` -> ``bool``)."""
+    return values if values.dtype == object else values.astype(object)
 
 
 class ShardedStore:
@@ -207,13 +228,13 @@ class ShardedStore:
     # -- routing -----------------------------------------------------------
     def route_key(self, key: float) -> int:
         """Shard id owning a 1-d key."""
-        return int(np.searchsorted(self._bounds, key, side="right"))
+        return int(self._bounds.searchsorted(key, side="right"))
 
     def route_point(self, point: Sequence[float]) -> int:
         """Shard id owning a multi-d point (by Morton code)."""
         pts = np.asarray(point, dtype=np.float64).reshape(1, -1)
         code = self._encode(pts)[0]
-        return int(np.searchsorted(self._bounds, code, side="right"))
+        return int(self._bounds.searchsorted(code, side="right"))
 
     def route(self, request: Request) -> tuple[int, ...]:
         """All shard ids a request touches (first one hosts its queue slot)."""
@@ -237,43 +258,46 @@ class ShardedStore:
             return (self.route_key(float(request.key)),)  # type: ignore[arg-type]
         raise ValueError(f"unroutable op {op!r}")
 
-    def route_home_batch(self, requests: Sequence[Request]) -> list[int]:
-        """Home (queue-owning) shard for each request, routed in bulk.
+    def route_columns(self, requests: Sequence[Request],
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One window as columns: ``(op codes, home shards, keys or points)``.
 
-        Point-shaped operations — the overwhelming share of serving
-        traffic — are routed with one vectorized ``searchsorted`` (and,
-        in multi-d, one ``zencode_array``) over the whole window instead
-        of a numpy call per request; fan-out operations fall back to
-        :meth:`route` individually.
+        The window is walked once per column.  ``column`` is float64 and
+        row-aligned with ``requests`` — shape ``(n,)`` of keys in 1-d,
+        ``(n, dims)`` of points in multi-d, NaN where the op carries
+        neither (ranges, kNN).  Key- and point-shaped ops — the
+        overwhelming share of serving traffic — get their home shard
+        from one ``searchsorted`` over that column (plus one
+        ``zencode_array`` in multi-d); fan-out ops fall back to
+        :meth:`route` individually and are homed on their first shard.
         """
         self._require_built()
-        out = [0] * len(requests)
-        key_rows: list[int] = []
-        keys: list[float] = []
-        pt_rows: list[int] = []
-        pts: list[tuple[float, ...]] = []
-        for i, request in enumerate(requests):
-            op = request.op
-            if not self.multi_dim and op in _KEYED_OPS:
-                key_rows.append(i)
-                keys.append(float(request.key))  # type: ignore[arg-type]
-            elif self.multi_dim and op in _POINT_OPS:
-                pt_rows.append(i)
-                pts.append(request.point)  # type: ignore[arg-type]
-            else:
-                shards = self.route(request)
-                out[i] = shards[0] if shards else 0
-        if key_rows:
-            sids = np.searchsorted(
-                self._bounds, np.asarray(keys, dtype=np.float64), side="right")
-            for i, s in zip(key_rows, sids):
-                out[i] = int(s)
-        if pt_rows:
-            codes = self._encode(np.asarray(pts, dtype=np.float64))
-            sids = np.searchsorted(self._bounds, codes, side="right")
-            for i, s in zip(pt_rows, sids):
-                out[i] = int(s)
-        return out
+        n = len(requests)
+        codes = np.array([r.op.code for r in requests], dtype=np.intp)
+        if self.multi_dim:
+            routed = _POINT_ROUTED[codes]
+            rows = np.flatnonzero(routed)
+            column = np.full((n, self.dims), np.nan)
+            homes = np.zeros(n, dtype=np.intp)
+            if rows.size:
+                column[rows] = np.array(
+                    [requests[i].point for i in rows.tolist()], dtype=np.float64)
+                homes[rows] = self._route_column(column[rows])
+        else:
+            routed = _KEY_ROUTED[codes]
+            column = np.array([r.key for r in requests], dtype=np.float64)
+            homes = self._route_column(column)
+            for i in np.flatnonzero(routed & np.isnan(column)).tolist():
+                float(requests[i].key)  # a keyed op without a key: TypeError  # type: ignore[arg-type]
+        for i in np.flatnonzero(~routed).tolist():
+            shards = self.route(requests[i])
+            homes[i] = shards[0] if shards else 0
+        return codes, homes, column
+
+    def route_home_batch(self, requests: Sequence[Request]) -> list[int]:
+        """Home (queue-owning) shard for each request, routed in bulk
+        (the home-shard column of :meth:`route_columns` as a list)."""
+        return self.route_columns(requests)[1].tolist()
 
     def _range_shards(self, low: object, high: object) -> tuple[int, ...]:
         """Shards whose code interval intersects the box's Z-interval."""
@@ -553,75 +577,80 @@ class ShardedStore:
             return self.delete(request.point if self.multi_dim else request.key)
         raise ValueError(f"unknown op {op!r}")
 
-    def _routes_for(self, op: Op, requests: Sequence[Request]) -> np.ndarray:
-        """Current home shard per request of one coalescable same-op run.
+    @staticmethod
+    def request_column(op: Op, requests: Sequence[Request]) -> np.ndarray:
+        """Float64 key (or point) column of one coalescable same-op run."""
+        if op is Op.POINT_QUERY:
+            return np.asarray([r.point for r in requests], dtype=np.float64)
+        return np.asarray([r.key for r in requests], dtype=np.float64)
+
+    def _route_column(self, column: np.ndarray) -> np.ndarray:
+        """Current home shard per row of a key (1-d) or point (multi-d) column.
 
         Deliberately lock-free: callers either re-check under the shard
-        lock (:meth:`execute_batch`) or pair the result with a
+        lock (:meth:`execute_columns`) or pair the result with a
         bounds-version check (:meth:`stray_rows` users).
         """
-        if op is Op.POINT_QUERY:
-            pts = np.asarray([r.point for r in requests], dtype=np.float64)
-            return np.searchsorted(self._bounds, self._encode(pts), side="right")
-        keys = np.asarray([r.key for r in requests], dtype=np.float64)
-        return np.searchsorted(self._bounds, keys, side="right")
+        routed = self._encode(column) if self.multi_dim else column
+        return np.searchsorted(self._bounds, routed, side="right")
 
-    def stray_rows(self, shard: int, op: Op, requests: Sequence[Request]) -> np.ndarray:
+    def stray_rows(self, shard: int, column: np.ndarray) -> np.ndarray:
         """Rows of a routed run that a rebalance has moved off ``shard``.
 
         A lock-free routing snapshot: callers must pair it with a
         :attr:`bounds_version` check (see
-        :meth:`repro.serve.mp.ProcessShardExecutor.execute_batch`) to
+        :meth:`repro.serve.mp.ProcessShardExecutor.execute_columns`) to
         know the answer was not computed mid-rebalance.
         """
         self._require_built()
-        return np.flatnonzero(self._routes_for(op, requests) != shard)
+        return np.flatnonzero(self._route_column(column) != shard)
 
-    def execute_batch(self, shard: int, op: Op, requests: Sequence[Request]) -> list[object]:
-        """Answer a same-shard run of coalescable requests in one kernel call.
+    def read_scalar(self, op: Op, row: object) -> object:
+        """One row of a coalescable run through the routed scalar path."""
+        if op is Op.LOOKUP:
+            return self.lookup(float(row))  # type: ignore[arg-type]
+        if op is Op.CONTAINS:
+            return self.contains(float(row))  # type: ignore[arg-type]
+        if op is Op.POINT_QUERY:
+            return self.point_query(tuple(row.tolist()))  # type: ignore[attr-defined]
+        raise ValueError(f"op {op!r} is not coalescable")
 
-        The caller (a coalescer worker) routed every request to
-        ``shard`` at enqueue time; the routing is re-validated under the
-        shard lock, because a rebalance may have moved keys off this
-        shard while the run sat in the queue.  Still-owned rows are
-        answered by one vectorized kernel call (where coalescing earns
-        its throughput); moved rows fall back to :meth:`execute`, which
-        re-routes them safely after the lock is released.
+    def execute_columns(self, shard: int, op: Op, column: np.ndarray) -> np.ndarray:
+        """Answer a same-shard run of one coalescable op in one kernel call.
+
+        ``column`` holds the run's keys (or points) in queue order; the
+        result is an object ndarray aligned with it (``contains``
+        answers as Python bools).  The caller (a coalescer worker)
+        routed every row to ``shard`` at enqueue time; the routing is
+        re-validated under the shard lock, because a rebalance may have
+        moved keys off this shard while the run sat in the queue.
+        Still-owned rows are answered by one vectorized kernel call
+        (where coalescing earns its throughput); moved rows fall back to
+        :meth:`read_scalar`, which re-routes them safely after the lock
+        is released.
         """
         self._require_built()
-        if op is Op.LOOKUP:
-            keys = np.asarray([r.key for r in requests], dtype=np.float64)
-            kernel = "lookup_batch"
-        elif op is Op.CONTAINS:
-            keys = np.asarray([r.key for r in requests], dtype=np.float64)
-            kernel = "contains_batch"
-        elif op is Op.POINT_QUERY:
-            keys = np.asarray([r.point for r in requests], dtype=np.float64)
-            kernel = "point_query_batch"
-        else:
+        kernel = _KERNELS.get(op)
+        if kernel is None:
             raise ValueError(f"op {op!r} is not coalescable")
         with self._locks[shard]:
-            if op is Op.POINT_QUERY:
-                sids = np.searchsorted(self._bounds, self._encode(keys), side="right")
-            else:
-                sids = np.searchsorted(self._bounds, keys, side="right")
-            mine = sids == shard
+            mine = self._route_column(column) == shard
             batch = getattr(self.shards[shard], kernel)
             if mine.all():
-                values = batch(keys)
-                if op is Op.CONTAINS:
-                    return [bool(b) for b in values]
-                return list(values)
-            out: list[object] = [None] * len(requests)
+                return _as_objects(batch(column))
+            out = np.empty(len(column), dtype=object)
             rows = np.flatnonzero(mine)
             if rows.size:
-                values = batch(keys[rows])
-                for i, value in zip(rows, values):
-                    out[int(i)] = bool(value) if op is Op.CONTAINS else value
+                out[rows] = _as_objects(batch(column[rows]))
             moved = np.flatnonzero(~mine)
-        for i in moved:
-            out[int(i)] = self.execute(requests[int(i)])
+        for i in moved.tolist():
+            out[i] = self.read_scalar(op, column[i])
         return out
+
+    def execute_batch(self, shard: int, op: Op, requests: Sequence[Request]) -> list[object]:
+        """:meth:`execute_columns` for a run given as ``Request`` objects."""
+        return self.execute_columns(
+            shard, op, self.request_column(op, requests)).tolist()
 
     # -- re-partitioning (the repro.tune actuator surface) -----------------
     @property

@@ -11,6 +11,8 @@ merging the per-shard :class:`repro.core.interfaces.IndexStats` objects
 
 from __future__ import annotations
 
+import math
+
 from repro.core.interfaces import IndexStats
 from repro.core.lockorder import make_lock
 
@@ -19,6 +21,26 @@ __all__ = ["LatencyHistogram", "ServerStats"]
 #: Histogram bucket upper bounds: 1us * 2^i, i in [0, _BUCKETS).  The last
 #: bucket (~2200s) is an overflow catch-all.
 _BUCKETS = 32
+
+#: Lower edge of the overflow bucket in microseconds (``2^(_BUCKETS-1)``).
+_OVERFLOW_US = 2.0 ** (_BUCKETS - 1)
+
+
+def _bucket(micros: float) -> int:
+    """Index of the smallest bucket whose bound ``2^i`` us is >= ``micros``.
+
+    Constant time: ``frexp`` writes ``micros = m * 2^e`` with ``m`` in
+    ``[0.5, 1)``, so the answer is ``e``, or ``e - 1`` when ``micros`` is
+    itself a power of two.  The two guards give zero, negative and NaN
+    observations bucket 0 and everything past the last bound (infinity
+    included) the overflow bucket.
+    """
+    if not micros > 1.0:
+        return 0
+    if micros >= _OVERFLOW_US:
+        return _BUCKETS - 1
+    mantissa, exponent = math.frexp(micros)
+    return exponent - 1 if mantissa == 0.5 else exponent
 
 
 class LatencyHistogram:
@@ -40,15 +62,17 @@ class LatencyHistogram:
 
     def record(self, seconds: float) -> None:
         """Record one latency observation (in seconds)."""
-        micros = seconds * 1e6
-        bucket = 0
-        bound = 1.0
-        while micros > bound and bucket < _BUCKETS - 1:
-            bound *= 2.0
-            bucket += 1
-        self.counts[bucket] += 1
-        self.total += 1
-        self.sum_seconds += seconds
+        self.record_n(seconds, 1)
+
+    def record_n(self, seconds: float, count: int) -> None:
+        """Record ``count`` observations of the same latency at once.
+
+        A coalesced run completes together, so all its requests share
+        one latency: one bucket update instead of ``count``.
+        """
+        self.counts[_bucket(seconds * 1e6)] += count
+        self.total += count
+        self.sum_seconds += seconds * count
         if seconds > self.max_seconds:
             self.max_seconds = seconds
 
@@ -132,10 +156,10 @@ class ServerStats:
             if depth > self.queue_high_water[shard]:
                 self.queue_high_water[shard] = depth
 
-    def record_shed(self) -> None:
+    def record_shed(self, count: int = 1) -> None:
         with self._lock:
-            self.requests += 1
-            self.shed += 1
+            self.requests += count
+            self.shed += count
 
     def record_batch(self, shard: int, size: int) -> None:
         with self._lock:
@@ -148,16 +172,24 @@ class ServerStats:
             self.responses += 1
             if write:
                 self.writes += 1
-            self.latency.record(seconds)
+            self.latency.record_n(seconds, 1)
 
-    def record_done_many(self, latencies: list[float], writes: int = 0) -> None:
-        """Batched :meth:`record_done` — one lock acquisition per drained run."""
+    def record_done_many(self, latencies: list[float], writes: int = 0,
+                         counts: list[int] | None = None) -> None:
+        """Batched :meth:`record_done` — one lock acquisition per kernel call.
+
+        ``counts[i]`` requests completed after ``latencies[i]`` seconds
+        each (the rows of one queued run share a latency); without
+        ``counts`` every latency stands for one request.
+        """
+        if counts is None:
+            counts = [1] * len(latencies)
         with self._lock:
-            self.responses += len(latencies)
+            self.responses += sum(counts)
             self.writes += writes
-            record = self.latency.record
-            for seconds in latencies:
-                record(seconds)
+            record_n = self.latency.record_n
+            for seconds, count in zip(latencies, counts):
+                record_n(seconds, count)
 
     def record_worker_restart(self) -> None:
         """Count one shard-worker process restart (process backend only)."""

@@ -319,6 +319,23 @@ class TestRPR102LossyFloatCast:
     def test_quiet_on_guarded_or_narrow_casts(self):
         assert findings_for("RPR102", "rpr102_good.py") == []
 
+    def test_facts_follow_the_source_object_not_its_recycled_id(self):
+        # CPython hands a collected SourceFile's id to the next one; facts
+        # cached by id once made rpr102_bad.py inherit a clean file's facts
+        # (0 findings) depending on what had been analysed before it.
+        from repro.analysis.numeric_rules import _facts
+
+        good_path, bad_path = FIXTURES / "rpr102_good.py", FIXTURES / "rpr102_bad.py"
+        for _ in range(50):
+            good = SourceFile.load(good_path, FIXTURES)
+            stale_id, stale_facts = id(good), _facts(good)
+            del good
+            bad = SourceFile.load(bad_path, FIXTURES)
+            assert _facts(bad) is not stale_facts
+            if id(bad) == stale_id:
+                break
+        assert len(findings_for("RPR102", "rpr102_bad.py")) == 1
+
 
 class TestRPR103MixedDtypeRouting:
     def test_fires_on_searchsorted_and_comparison(self):
@@ -383,6 +400,20 @@ class TestRPR303ServeAllocation:
 
     def test_quiet_on_eviction_len_check_and_maxlen(self):
         assert findings_for("RPR303", "serve/rpr303_good.py") == []
+
+    def test_quiet_on_stores_into_sized_preallocated_array(self):
+        # np.empty(size) in __init__ cannot grow: self.results[slots] = values
+        # (what Window.complete_many does) overwrites slots.
+        assert findings_for("RPR303", "serve/rpr303_prealloc.py") == []
+
+    def test_unsized_array_constructor_is_not_bound_evidence(self):
+        # Only a size *argument* counts: a bare np.empty() call proves nothing.
+        from repro.analysis.complexity import _is_preallocation
+        import ast
+
+        assert _is_preallocation(ast.parse("np.empty(n, dtype=object)").body[0].value)
+        assert not _is_preallocation(ast.parse("np.empty()").body[0].value)
+        assert not _is_preallocation(ast.parse("list(xs)").body[0].value)
 
     def test_scoped_to_serve_paths(self):
         # The same unbounded growth outside a serve/ directory is ignored:

@@ -233,3 +233,164 @@ class TestClose:
         server.close()
         assert all(f.done() for f in futures)
         server.close()  # idempotent
+
+
+def _lookups(keys):
+    return [Request(op=Op.LOOKUP, key=float(k)) for k in keys]
+
+
+class TestRunQueue:
+    """The queue holds same-op runs; every bound is still counted in requests."""
+
+    def test_run_larger_than_capacity_is_split_head_served_tail_shed(self):
+        keys, _, stats, coalescer = _fixture(num_shards=1, capacity=5)
+        direct = SortedArrayIndex().build(keys)
+        window = coalescer.submit_window(_lookups(keys[:8]))
+        assert coalescer.queue_depths() == [5]        # requests ...
+        assert len(coalescer._queues[0]) == 1         # ... held as one run
+        coalescer.flush()
+        results = window.wait()
+        assert results[:5] == [direct.lookup(k) for k in keys[:5]]
+        assert results[5:] == [Overloaded(depth=5)] * 3
+        assert stats.shed == 3
+        assert stats.requests == 8 and stats.responses == 5
+
+    def test_shedding_counts_rows_across_runs_and_sinks(self):
+        keys, _, stats, coalescer = _fixture(num_shards=1, capacity=6)
+        first = coalescer.submit_window(_lookups(keys[:4]))
+        mixed = _lookups(keys[4:6]) + [Request(op=Op.CONTAINS, key=float(k)) for k in keys[6:9]]
+        futures = coalescer.submit_many(mixed)        # 2 fit, 3 contains are shed
+        assert coalescer.queue_depths() == [6]
+        assert [f.done() for f in futures] == [False, False, True, True, True]
+        assert all(f.result() == Overloaded(depth=6) for f in futures[2:])
+        assert stats.shed == 3
+        coalescer.flush()
+        assert not any(isinstance(v, Overloaded) for v in first.wait())
+        assert all(f.result().ok for f in futures[:2])
+        assert coalescer.queue_depths() == [0]
+
+    def test_max_batch_splits_a_run_and_bounds_every_kernel_call(self):
+        keys, store, stats, coalescer = _fixture(num_shards=1, max_batch=8)
+        direct = SortedArrayIndex().build(keys)
+        sizes = []
+        kernel = store.shards[0].lookup_batch
+        store.shards[0].lookup_batch = lambda column: (sizes.append(len(column)),
+                                                       kernel(column))[1]
+        window = coalescer.submit_window(_lookups(keys[:20]))
+        assert coalescer.flush() == 20
+        assert sizes == [8, 8, 4]
+        assert stats.batches == 3 and stats.batched_requests == 20
+        assert window.wait() == [direct.lookup(k) for k in keys[:20]]
+
+    def test_runs_of_two_windows_fuse_into_one_kernel_call(self):
+        keys, store, stats, coalescer = _fixture(num_shards=1, max_batch=64)
+        sizes = []
+        kernel = store.shards[0].lookup_batch
+        store.shards[0].lookup_batch = lambda column: (sizes.append(len(column)),
+                                                       kernel(column))[1]
+        one = coalescer.submit_window(_lookups(keys[:10]))
+        two = coalescer.submit_window(_lookups(keys[10:25]))
+        coalescer.flush()
+        assert sizes == [25]
+        direct = SortedArrayIndex().build(keys)
+        assert one.wait() + two.wait() == [direct.lookup(k) for k in keys[:25]]
+        assert stats.latency.total == 25
+
+    def test_max_batch_one_executes_every_row_through_scalar_execute(self):
+        keys, store, stats, coalescer = _fixture(num_shards=2, max_batch=1)
+        direct = SortedArrayIndex().build(keys)
+        executed = []
+        execute = store.execute
+        store.execute = lambda request: (executed.append(request), execute(request))[1]
+        for shard in store.shards:
+            shard.lookup_batch = None                 # any kernel call would raise
+        requests = _lookups(keys[:12])
+        window = coalescer.submit_window(requests)
+        assert coalescer.flush() == 12
+        assert window.wait() == [direct.lookup(k) for k in keys[:12]]
+        assert sorted(executed, key=requests.index) == requests
+        assert stats.batches == 12 and stats.batched_requests == 12
+
+    def test_window_order_is_kept_per_shard_across_op_changes(self):
+        keys, _, _, coalescer = _fixture(num_shards=2, max_batch=64)
+        key = 123.456
+        window = coalescer.submit_window([
+            Request(op=Op.LOOKUP, key=key),
+            Request(op=Op.INSERT, key=key, value="w1"),
+            Request(op=Op.LOOKUP, key=key),
+            Request(op=Op.CONTAINS, key=key),
+            Request(op=Op.DELETE, key=key),
+            Request(op=Op.LOOKUP, key=key),
+            Request(op=Op.RANGE_1D, low=key - 1.0, high=key + 1.0),
+        ])
+        coalescer.flush()
+        assert window.wait() == [None, None, "w1", True, True, None, []]
+
+    def test_empty_window_completes_immediately(self):
+        _, _, stats, coalescer = _fixture()
+        assert coalescer.submit_window([]).wait() == []
+        assert coalescer.submit_many([]) == []
+        assert stats.requests == 0
+
+    def test_keyed_request_without_a_key_is_rejected_at_submit(self):
+        keys, _, _, coalescer = _fixture()
+        with pytest.raises(TypeError):
+            coalescer.submit_window(_lookups(keys[:3]) + [Request(op=Op.LOOKUP)])
+
+    def test_values_that_are_sequences_survive_the_slot_array(self):
+        keys = np.arange(10.0)
+        values = [(int(k), [int(k)]) for k in keys]   # tuples holding lists
+        store = ShardedStore(SortedArrayIndex, num_shards=2).build(keys, values)
+        coalescer = Coalescer(store, ServerStats(2))
+        window = coalescer.submit_window(
+            _lookups(keys) + [Request(op=Op.RANGE_1D, low=2.0, high=3.0)])
+        coalescer.flush()
+        assert window.wait() == values + [[(2.0, values[2]), (3.0, values[3])]]
+
+
+class TestCloseWithQueuedRuns:
+    def test_close_drains_queued_runs_of_every_kind(self):
+        keys, _, stats, coalescer = _fixture(max_batch=8)
+        direct = SortedArrayIndex().build(keys)
+        window = coalescer.submit_window(
+            _lookups(keys[:30]) + [Request(op=Op.RANGE_1D, low=0.0, high=-1.0)])
+        futures = coalescer.submit_many(_lookups(keys[30:40]))
+        assert coalescer.close() == 41
+        assert window.wait() == [direct.lookup(k) for k in keys[:30]] + [[]]
+        assert [f.result(timeout=5.0).value for f in futures] == [
+            direct.lookup(k) for k in keys[30:40]]
+        assert coalescer.queue_depths() == [0, 0]
+        assert stats.responses == 41
+
+    def test_submit_window_racing_close_completes_or_raises_never_hangs(self):
+        import threading
+
+        keys, _, _, coalescer = _fixture(num_shards=4, max_batch=16, max_delay=0.0005)
+        direct = SortedArrayIndex().build(keys)
+        expected = [direct.lookup(k) for k in keys[:64]]
+        coalescer.start()
+        outcomes: list[str] = []
+        started = threading.Event()
+
+        def client() -> None:
+            while True:
+                try:
+                    window = coalescer.submit_window(_lookups(keys[:64]))
+                except RuntimeError:
+                    outcomes.append("raised")
+                    return
+                started.set()
+                outcomes.append("served" if window.wait() == expected else "wrong")
+
+        clients = [threading.Thread(target=client, daemon=True) for _ in range(3)]
+        for thread in clients:
+            thread.start()
+        assert started.wait(timeout=10.0)
+        coalescer.close()
+        for thread in clients:
+            thread.join(timeout=10.0)
+        # A hung Window.wait() would leave its client thread alive.
+        assert not any(thread.is_alive() for thread in clients)
+        assert outcomes.count("raised") == 3
+        assert "wrong" not in outcomes and "served" in outcomes
+        assert coalescer.queue_depths() == [0, 0, 0, 0]

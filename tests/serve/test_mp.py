@@ -133,6 +133,41 @@ def test_worker_crash_sheds_window_as_typed_responses():
         assert all(v is not None for v in direct)
 
 
+def test_worker_crash_mid_window_fails_every_slot_of_every_fused_run():
+    """Two windows' runs fused into the dying kernel call both get typed
+    errors on every slot; the other shard's runs are answered normally."""
+    from repro.serve import Coalescer, ServerStats, ShardedStore
+    from repro.serve.mp import ProcessShardExecutor
+
+    rng = np.random.default_rng(12)
+    keys = rng.uniform(0.0, 1e6, 300)
+    direct = ONE_DIM_FACTORIES["rmi"]().build(keys)
+    store = ShardedStore(ONE_DIM_FACTORIES["rmi"], num_shards=2).build(keys)
+    stats = ServerStats(2)
+    with ProcessShardExecutor(store, stats) as executor:
+        coalescer = Coalescer(store, stats, executor=executor)   # drained by flush()
+        windows, homes = [], []
+        for chunk in (keys[:40], keys[40:100]):
+            requests = [Request(op=Op.LOOKUP, key=float(k)) for k in chunk]
+            homes.append(store.route_home_batch(requests))
+            windows.append(coalescer.submit_window(requests))
+        proc = executor._procs[0]
+        executor.debug_crash(0)
+        _wait_for_exit(proc)
+        executor._guard_alive = lambda s: None       # commit the batch to the dead worker
+        coalescer.flush()
+        del executor._guard_alive
+        for window, chunk, home in zip(windows, (keys[:40], keys[40:100]), homes):
+            assert 0 in home and 1 in home
+            for value, key, shard in zip(window.wait(), chunk, home):
+                if shard == 0:
+                    assert isinstance(value, WorkerError) and value.shard == 0
+                else:
+                    assert value == direct.lookup(key)
+        assert stats.worker_restarts == 1
+        assert stats.responses == sum(h.count(1) for h in homes)
+
+
 def test_dead_worker_restarted_before_dispatch_serves_cleanly():
     """The liveness probe path: a crash between windows is invisible."""
     rng = np.random.default_rng(10)

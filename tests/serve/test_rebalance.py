@@ -170,3 +170,48 @@ class TestProcessBackendRebalance:
             assert server.serve_window(window) == expected
         finally:
             server.close()
+
+
+class TestRebalanceWhileRunsAreQueued:
+    """Runs are routed at enqueue time; a rebalance landing before they
+    are drained moves rows off the shard whose queue holds them."""
+
+    @staticmethod
+    def _queued_window(keys, store, executor=None):
+        from repro.serve import Coalescer, ServerStats
+
+        coalescer = Coalescer(store, ServerStats(store.num_shards), executor=executor)
+        probe = [float(k) for k in keys[::5]] + [7.5, -3.0]
+        requests = [Request(op=Op.LOOKUP, key=k) for k in probe]
+        requests += [Request(op=Op.CONTAINS, key=k) for k in probe]
+        return coalescer, probe, coalescer.submit_window(requests)
+
+    def test_moved_rows_fall_back_to_scalar_and_every_slot_is_right(self):
+        keys = _keys()
+        direct = SortedArrayIndex().build(keys)
+        store = ShardedStore(SortedArrayIndex, num_shards=4).build(keys)
+        coalescer, probe, window = self._queued_window(keys, store)
+        scalar_rows = []
+        read_scalar = store.read_scalar
+        store.read_scalar = lambda op, row: (scalar_rows.append(op),
+                                             read_scalar(op, row))[1]
+        store.rebalance(sample=np.linspace(0.0, 1e5, 512))   # queues now mis-routed
+        assert coalescer.flush() == 2 * len(probe)
+        assert window.wait() == ([direct.lookup(k) for k in probe]
+                                 + [direct.contains(k) for k in probe])
+        assert Op.LOOKUP in scalar_rows and Op.CONTAINS in scalar_rows
+        assert len(scalar_rows) < 2 * len(probe)    # still-owned rows used the kernel
+
+    def test_process_backend_strays_execute_on_the_parent(self):
+        from repro.serve import ServerStats
+        from repro.serve.mp import ProcessShardExecutor
+
+        keys = _keys(400)
+        direct = SortedArrayIndex().build(keys)
+        store = ShardedStore(SortedArrayIndex, num_shards=2).build(keys)
+        with ProcessShardExecutor(store, ServerStats(2)) as executor:
+            coalescer, probe, window = self._queued_window(keys, store, executor)
+            store.rebalance(sample=np.linspace(0.0, 2e5, 256))
+            coalescer.flush()
+            assert window.wait() == ([direct.lookup(k) for k in probe]
+                                     + [direct.contains(k) for k in probe])

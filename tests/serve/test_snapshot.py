@@ -216,3 +216,37 @@ class TestServerSnapshot:
             assert restored.delete(7e11)
         finally:
             restored.close()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_restore_constructs_one_store_and_one_coalescer(
+            self, tmp_path, monkeypatch, backend):
+        """from_snapshot hands the restored store to ``__init__``: no empty
+        store (or a coalescer over it) is built only to be thrown away."""
+        from repro.serve.coalescer import Coalescer
+
+        keys = load_1d("uniform", 600, seed=46)
+        server = IndexServer(_rmi, num_shards=2).build(keys)
+        server.save_snapshot(tmp_path / "snap")
+        server.close()
+        built = {"store": 0, "coalescer": 0}
+        store_init, coalescer_init = ShardedStore.__init__, Coalescer.__init__
+
+        def counting_store_init(self, *args, **kwargs):
+            built["store"] += 1
+            store_init(self, *args, **kwargs)
+
+        def counting_coalescer_init(self, *args, **kwargs):
+            built["coalescer"] += 1
+            coalescer_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedStore, "__init__", counting_store_init)
+        monkeypatch.setattr(Coalescer, "__init__", counting_coalescer_init)
+        restored = IndexServer.from_snapshot(tmp_path / "snap", factory=_rmi,
+                                             backend=backend)
+        try:
+            assert built == {"store": 1, "coalescer": 1}
+            assert restored._coalescer.store is restored.store
+            sk = np.sort(keys)
+            assert restored.lookup(float(sk[17])) == 17
+        finally:
+            restored.close()

@@ -1,9 +1,22 @@
 """LatencyHistogram percentiles and ServerStats counter plumbing."""
 
+import math
+
 import pytest
 
 from repro.core.interfaces import IndexStats
 from repro.serve import LatencyHistogram, ServerStats
+from repro.serve.stats import _BUCKETS, _bucket
+
+
+def _bucket_by_doubling(micros):
+    """The pre-frexp bucket search, kept as the reference."""
+    bucket = 0
+    bound = 1.0
+    while micros > bound and bucket < _BUCKETS - 1:
+        bound *= 2.0
+        bucket += 1
+    return bucket
 
 
 class TestLatencyHistogram:
@@ -40,6 +53,31 @@ class TestLatencyHistogram:
         assert merged.max_seconds == pytest.approx(1e-3)
         assert a.total == 10 and b.total == 10  # operands untouched
 
+    def test_constant_time_bucket_matches_the_doubling_loop(self):
+        probes = [0.0, -1.0, 1e-9, 0.25, 0.999, math.nan, math.inf, 1e300,
+                  2.0 ** 40, 3.7, 4097.0]
+        for i in range(_BUCKETS + 3):       # every 2^i us bound and past the last
+            bound = 2.0 ** i
+            probes += [math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf)]
+        for micros in probes:
+            assert _bucket(micros) == _bucket_by_doubling(micros), micros
+        # And through record(): seconds -> micros uses the same expression.
+        for seconds in (0.0, 5e-7, 1e-6, 2e-6, 4.0e-3, 4.096e-3, 1.0, 5000.0):
+            hist = LatencyHistogram()
+            hist.record(seconds)
+            assert hist.counts[_bucket_by_doubling(seconds * 1e6)] == 1
+
+    def test_record_n_equals_repeated_record(self):
+        many, once = LatencyHistogram(), LatencyHistogram()
+        for seconds, count in ((3e-6, 5), (4e-3, 200), (1e-6, 1)):
+            once.record_n(seconds, count)
+            for _ in range(count):
+                many.record(seconds)
+        assert once.counts == many.counts
+        assert once.total == many.total == 206
+        assert once.max_seconds == many.max_seconds
+        assert once.sum_seconds == pytest.approx(many.sum_seconds)
+
     def test_overflow_bucket_catches_huge_latencies(self):
         hist = LatencyHistogram()
         hist.record(1e9)
@@ -73,6 +111,20 @@ class TestServerStats:
         assert snap["avg_batch"] == 4.0
         assert snap["per_shard_batches"] == [1]
         assert snap["latency"]["count"] == 4.0
+
+    def test_done_many_with_counts_records_runs_not_rows(self):
+        stats = ServerStats(num_shards=1)
+        stats.record_done_many([4e-3, 1e-6], counts=[300, 2])
+        snap = stats.snapshot()
+        assert snap["responses"] == 302
+        assert snap["latency"]["count"] == 302.0
+        assert stats.latency.counts[_bucket_by_doubling(4e3)] == 300
+        assert stats.latency.counts[0] == 2
+
+    def test_shed_counts_rows(self):
+        stats = ServerStats(num_shards=1)
+        stats.record_shed(7)
+        assert (stats.shed, stats.requests) == (7, 7)
 
     def test_shed_and_cache_counters(self):
         stats = ServerStats(num_shards=1)
