@@ -31,8 +31,10 @@ every index hot path and checks it against the contract declared in
   scalar path while still claiming the vectorized name.  Flags loops
   iterating the batch parameter (or an ``np.asarray`` alias of it),
   ``np.append`` anywhere, list/array accumulation inside per-element
-  loops, and per-iteration full-array masks against bare ``self``
-  attributes.  The documented loop fallbacks on the abstract bases in
+  loops, per-iteration full-array masks against bare ``self``
+  attributes, and a full-array ``searchsorted`` clipped into per-query
+  ``lo``/``hi`` windows (a global search wearing a learned name).  The
+  documented loop fallbacks on the abstract bases in
   ``core/interfaces.py`` are out of scope by design.
 
 * **RPR303** — allocation discipline in the serving layer.  A serve
@@ -716,6 +718,42 @@ def _loops_over_batch(func: ast.FunctionDef,
             yield node
 
 
+def _call_name(node: ast.expr) -> str:
+    """Last component of a call's dotted name (``""`` for non-calls)."""
+    if not isinstance(node, ast.Call):
+        return ""
+    return (_dotted_name(node.func) or "").rsplit(".", 1)[-1]
+
+
+def _window_clipped_searches(func: ast.FunctionDef) -> Iterator[ast.Call]:
+    """``np.clip(<searchsorted result>, lo, hi)`` over per-query windows.
+
+    ``lo``/``hi`` are locals built with ``np.maximum``/``np.minimum`` —
+    the clamped ``predicted -+ error`` columns of a learned last mile.
+    Clipping a full-array ``searchsorted`` into them returns the windowed
+    answer while still paying the global O(log n) search per row.
+    """
+    searched: set[str] = set()
+    windows: set[str] = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            fn = _call_name(node.value)
+            if fn == "searchsorted":
+                searched.add(node.targets[0].id)
+            elif fn in {"maximum", "minimum"}:
+                windows.add(node.targets[0].id)
+    for node in ast.walk(func):
+        if _call_name(node) != "clip" or len(node.args) != 3:
+            continue
+        value, lo, hi = node.args
+        if not (_call_name(value) == "searchsorted"
+                or (isinstance(value, ast.Name) and value.id in searched)):
+            continue
+        if all(isinstance(b, ast.Name) and b.id in windows for b in (lo, hi)):
+            yield node
+
+
 @rule(
     "RPR302",
     "batch-kernel-vectorization",
@@ -725,7 +763,10 @@ def _loops_over_batch(func: ast.FunctionDef,
     "reallocation, or a fresh full-array mask per query inside one "
     "reverts to scalar cost while keeping the vectorized name.  The "
     "documented loop fallbacks on the abstract interfaces are the only "
-    "sanctioned per-element paths.",
+    "sanctioned per-element paths.  A learned kernel that builds "
+    "per-query lo/hi windows and then clips a full-array searchsorted "
+    "into them keeps the learned name while running a global binary "
+    "search; the windowed search lives in repro.onedim._search.",
     ("complexity", "vectorization"),
 )
 def check_batch_vectorization(ctx: AnalysisContext) -> Iterator[Finding]:
@@ -734,6 +775,16 @@ def check_batch_vectorization(ctx: AnalysisContext) -> Iterator[Finding]:
             continue
         for cls, _family in _index_classes(src):
             for name, func in _methods(cls).items():
+                if name.endswith("_batch"):
+                    for call in _window_clipped_searches(func):
+                        yield _mk(
+                            "RPR302", src, call.lineno, call.col_offset,
+                            f"{cls.name}.{name} clips a full-array "
+                            f"searchsorted into the per-query window "
+                            f"({call.args[1].id}, {call.args[2].id}): the "
+                            "model only clips, the search is still global; "
+                            "use _search.windowed_lower_bound",
+                        )
                 if name not in _FLAT_BATCH_METHODS:
                     continue
                 aliases = _batch_aliases(func)

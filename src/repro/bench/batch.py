@@ -39,6 +39,10 @@ __all__ = ["run_e17", "run_e18", "DEFAULT_E17_INDEXES", "DEFAULT_E18_INDEXES"]
 #: as a control showing the fallback neither breaks nor regresses.
 DEFAULT_E17_INDEXES = ("binary-search", "rmi", "pgm", "radix-spline", "b+tree")
 
+#: E17's reference arm: every row reports its batch throughput relative to
+#: this index's batch throughput (``vs_binary_batch``).
+BATCH_REFERENCE = "binary-search"
+
 #: Multi-d contenders with vectorized fast paths (projected curve, learned
 #: grid, uniform grid, learned shards) plus the loop-fallback KD-tree as
 #: the control.
@@ -73,7 +77,9 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
         smoke: shrink to a seconds-scale CI configuration.
 
     Returns:
-        One row per index with scalar/batch ops/sec and the speedup.
+        One row per index with scalar/batch ops/sec, the batch-vs-scalar
+        ``speedup``, the absolute ``batch_us_per_key`` and
+        ``vs_binary_batch`` (batch ops/sec over ``binary-search``'s).
     """
     if smoke:
         n = min(n, 5000)
@@ -103,10 +109,20 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
             "scalar_ops_per_s": scalar_ops,
             "batch_ops_per_s": batch_ops,
             "speedup": batch_ops / scalar_ops if scalar_ops else 0.0,
+            "batch_us_per_key": batched["lookup_us"],
             "hits_scalar": scalar["hits"],
             "hits_batch": batched["hits"],
             "build_s": build_s,
         })
+    # The honest reference for a learned batch kernel is one vectorized
+    # ``searchsorted`` over the same keys, not its own scalar loop.
+    reference = next((row["batch_ops_per_s"] for row in rows
+                      if row["index"] == BATCH_REFERENCE), None)
+    if reference is None:
+        index, _ = build_index(ONE_DIM_FACTORIES[BATCH_REFERENCE], keys)
+        reference = measure_batch_lookups(index, queries)["ops_per_s"]
+    for row in rows:
+        row["vs_binary_batch"] = row["batch_ops_per_s"] / reference if reference else 0.0
 
     if out:
         payload = {
@@ -121,6 +137,8 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
                     "scalar_ops_per_s": row["scalar_ops_per_s"],
                     "batch_ops_per_s": row["batch_ops_per_s"],
                     "speedup": row["speedup"],
+                    "batch_us_per_key": row["batch_us_per_key"],
+                    "vs_binary_batch": row["vs_binary_batch"],
                 }
                 for row in rows
             },

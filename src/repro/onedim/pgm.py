@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.interfaces import MutableOneDimIndex, OneDimIndex, as_object_array
 from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search, bounded_search_batch
+from repro.onedim._search import bounded_binary_search, bounded_search_batch, scan_range
 
 __all__ = ["PGMIndex", "DynamicPGMIndex"]
 
@@ -215,13 +215,7 @@ class PGMIndex(OneDimIndex):
         if high < low or self._keys.size == 0:
             return []
         start = self._locate(float(low))
-        out: list[tuple[float, object]] = []
-        i = start
-        while i < self._keys.size and self._keys[i] <= high:
-            out.append((float(self._keys[i]), self._values[i]))
-            self.stats.keys_scanned += 1
-            i += 1
-        return out
+        return scan_range(self._keys, self._values, start, high, self.stats)
 
     @property
     def num_segments(self) -> int:

@@ -15,7 +15,12 @@ import numpy as np
 
 from repro.core.interfaces import OneDimIndex, as_object_array
 from repro.models.spline import GreedySpline, fit_greedy_spline
-from repro.onedim._search import bounded_binary_search, lower_bound
+from repro.onedim._search import (
+    bounded_binary_search,
+    lower_bound,
+    scan_range,
+    windowed_lower_bound,
+)
 
 __all__ = ["RadixSplineIndex"]
 
@@ -146,15 +151,14 @@ class RadixSplineIndex(OneDimIndex):
             return out
         kk = self._knot_keys
         kp = self._knot_positions
-        # Radix routing + knot lower bound, clipped into the table window
-        # (the windowed lower bound equals the global one clipped).
+        # Radix routing + knot lower bound inside the table window.
         prefixes = self._prefix_array(qs)
         knot_lo = np.maximum(self._radix_table[prefixes] - 1, 0)
         knot_hi = np.minimum(
             self._radix_table[np.minimum(prefixes + 1, self._radix_table.size - 1)],
             kk.size,
         )
-        seg = np.clip(np.searchsorted(kk, qs, side="left"), knot_lo, knot_hi)
+        seg = windowed_lower_bound(kk, qs, knot_lo, knot_hi)
         seg = np.maximum(seg - 1, 0)
         self.stats.model_predictions += m
         self.stats.comparisons += int(
@@ -174,7 +178,7 @@ class RadixSplineIndex(OneDimIndex):
         error = self._true_error + 1
         lo = np.maximum(pred_int - error, 0)
         hi = np.minimum(pred_int + error + 1, n)
-        pos = np.clip(np.searchsorted(self._keys, qs, side="left"), lo, hi)
+        pos = windowed_lower_bound(self._keys, qs, lo, hi)
         self.stats.corrections += int((hi - lo).sum())
         hit = (pos < n) & (self._keys[np.minimum(pos, n - 1)] == qs)
         hit_idx = np.nonzero(hit)[0]
@@ -187,13 +191,7 @@ class RadixSplineIndex(OneDimIndex):
         if high < low or self._keys.size == 0:
             return []
         start = self._locate(float(low))
-        out: list[tuple[float, object]] = []
-        i = start
-        while i < self._keys.size and self._keys[i] <= high:
-            out.append((float(self._keys[i]), self._values[i]))
-            self.stats.keys_scanned += 1
-            i += 1
-        return out
+        return scan_range(self._keys, self._values, start, high, self.stats)
 
     @property
     def num_knots(self) -> int:

@@ -24,6 +24,8 @@ from repro.models.polynomial import PolynomialModel
 from repro.onedim._search import (
     bounded_binary_search,
     exponential_search,
+    scan_range,
+    windowed_lower_bound,
 )
 
 __all__ = ["RMIIndex"]
@@ -208,17 +210,19 @@ class RMIIndex(OneDimIndex):
         errors = self._leaf_error_arr[leaf_ids]
         lo = np.maximum(predicted - errors, 0)
         hi = np.minimum(predicted + errors + 1, n)
-        global_pos = np.searchsorted(self._keys, qs, side="left")
-        pos = np.clip(global_pos, lo, hi)
+        pos = windowed_lower_bound(self._keys, qs, lo, hi)
         self.stats.corrections += int((hi - lo).sum())
         # Leaf-boundary routing misses: same violation test as _locate,
-        # resolved to the exact global lower bound.
-        capped = np.minimum(pos, n - 1)
-        violated = ((pos < n) & (self._keys[capped] < qs)) | (
-            (pos > 0) & (self._keys[np.maximum(pos - 1, 0)] >= qs)
-        )
-        pos = np.where(violated, global_pos, pos)
-        hit = (pos < n) & (self._keys[np.minimum(pos, n - 1)] == qs)
+        # resolved to the exact global lower bound of the violating rows.
+        at = self._keys.take(pos, mode="clip")
+        violated = np.nonzero(
+            ((pos < n) & (at < qs))
+            | ((pos > 0) & (self._keys.take(pos - 1, mode="clip") >= qs))
+        )[0]
+        if violated.size:
+            pos[violated] = np.searchsorted(self._keys, qs[violated], side="left")
+            at[violated] = self._keys.take(pos[violated], mode="clip")
+        hit = (pos < n) & (at == qs)
         hit_idx = np.nonzero(hit)[0]
         self.stats.keys_scanned += int(hit_idx.size)
         out[hit_idx] = self._values_arr[pos[hit_idx]]
@@ -229,13 +233,7 @@ class RMIIndex(OneDimIndex):
         if high < low or self._keys.size == 0:
             return []
         start = self._locate(float(low))
-        out: list[tuple[float, object]] = []
-        i = start
-        while i < self._keys.size and self._keys[i] <= high:
-            out.append((float(self._keys[i]), self._values[i]))
-            self.stats.keys_scanned += 1
-            i += 1
-        return out
+        return scan_range(self._keys, self._values, start, high, self.stats)
 
     @property
     def leaf_errors(self) -> list[int]:

@@ -509,9 +509,15 @@ class Coalescer:
             for run in fused:
                 run.resolve(error)
             return
-        except Exception as exc:  # pragma: no cover - defensive
-            for run in fused:
-                run.sink.fail_many(run.slots, exc)
+        except Exception as exc:
+            self.stats.record_kernel_fault()
+            if len(fused) > 1:
+                # No fate sharing: only the run holding the offending
+                # row may see the exception, so re-execute one by one.
+                for run in fused:
+                    self._run_batch(shard, op, [run])
+            else:
+                fused[0].sink.fail_many(fused[0].slots, exc)
             return
         now = time.perf_counter()
         self.stats.record_done_many([now - run.submitted for run in fused],

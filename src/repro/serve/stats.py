@@ -135,6 +135,7 @@ class ServerStats:
         self.batched_requests = 0
         self.writes = 0
         self.worker_restarts = 0
+        self.kernel_faults = 0
         self.per_shard_requests = [0] * num_shards
         self.per_shard_batches = [0] * num_shards
         self.queue_high_water = [0] * num_shards
@@ -196,6 +197,11 @@ class ServerStats:
         with self._lock:
             self.worker_restarts += 1
 
+    def record_kernel_fault(self) -> None:
+        """Count one batch kernel call that raised (should stay 0)."""
+        with self._lock:
+            self.kernel_faults += 1
+
     def record_cache(self, hit: bool) -> None:
         with self._lock:
             if hit:
@@ -255,6 +261,7 @@ class ServerStats:
                 "avg_batch": avg_batch,
                 "writes": self.writes,
                 "worker_restarts": self.worker_restarts,
+                "kernel_faults": self.kernel_faults,
                 "per_shard_requests": list(self.per_shard_requests),
                 "per_shard_batches": list(self.per_shard_batches),
                 "queue_high_water": list(self.queue_high_water),

@@ -386,6 +386,17 @@ class TestRPR302BatchKernelDiscipline:
     def test_quiet_on_vectorized_kernel(self):
         assert findings_for("RPR302", "rpr302_good.py") == []
 
+    def test_fires_on_a_global_search_clipped_into_learned_windows(self):
+        findings = findings_for("RPR302", "rpr302_window_bad.py")
+        assert len(findings) == 2
+        assert "ClippedRMI.lookup_batch" in findings[0].message
+        assert "(lo, hi)" in findings[0].message
+        assert "ClippedSpline.lookup_batch" in findings[1].message
+        assert "(knot_lo, knot_hi)" in findings[1].message
+
+    def test_quiet_on_a_windowed_search_with_a_violating_rows_fallback(self):
+        assert findings_for("RPR302", "rpr302_window_good.py") == []
+
 
 class TestRPR303ServeAllocation:
     def test_fires_on_unbounded_container_growth(self):

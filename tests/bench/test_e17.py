@@ -34,7 +34,24 @@ class TestRunE17:
         assert set(payload["results"]) == {"pgm"}
         assert set(payload["results"]["pgm"]) == {
             "scalar_ops_per_s", "batch_ops_per_s", "speedup",
+            "batch_us_per_key", "vs_binary_batch",
         }
+
+    def test_rows_report_the_binary_search_batch_baseline(self, tmp_path):
+        out = tmp_path / "bench.json"
+        rows = run_e17(indexes=["binary-search", "rmi"], smoke=True, out=str(out))
+        by_name = {row["index"]: row for row in rows}
+        reference = by_name["binary-search"]["batch_ops_per_s"]
+        assert by_name["binary-search"]["vs_binary_batch"] == 1.0
+        for row in rows:
+            assert row["vs_binary_batch"] == pytest.approx(row["batch_ops_per_s"] / reference)
+            assert row["batch_us_per_key"] == pytest.approx(1e6 / row["batch_ops_per_s"])
+        results = json.loads(out.read_text())["results"]
+        assert results["rmi"]["vs_binary_batch"] == by_name["rmi"]["vs_binary_batch"]
+
+    def test_baseline_is_measured_even_when_not_a_contender(self):
+        (row,) = run_e17(indexes=["pgm"], smoke=True, out=None)
+        assert row["vs_binary_batch"] > 0
 
     def test_out_none_skips_artifact(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,7 @@
 """Coalescer edge cases: empty flush, batch parity, shedding, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -394,3 +396,55 @@ class TestCloseWithQueuedRuns:
         assert outcomes.count("raised") == 3
         assert "wrong" not in outcomes and "served" in outcomes
         assert coalescer.queue_depths() == [0, 0, 0, 0]
+
+
+FAULT_KEY = 123456.0
+
+
+class _FaultyIndex(SortedArrayIndex):
+    """A kernel that raises whenever the sentinel key is in its batch."""
+
+    def lookup_batch(self, keys):
+        if FAULT_KEY in np.asarray(keys):
+            raise RuntimeError("kernel fault on the sentinel key")
+        return super().lookup_batch(keys)
+
+
+class TestNoFateSharing:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_kernel_fault_fails_only_the_run_that_holds_the_bad_row(self, backend):
+        """Two clients' windows fuse into one kernel call; one holds a row
+        the kernel raises on.  Only that client may see the exception."""
+        keys = np.arange(0.0, 1000.0)
+        windows = {"bad": [1.0, FAULT_KEY, 2.0], "good": [float(k) for k in range(200)]}
+        rows = sum(len(w) for w in windows.values())
+        outcome = {}
+        # max_batch == the two windows' rows: the worker dispatches the
+        # moment both have queued, so they share one kernel call.
+        with IndexServer(_FaultyIndex, num_shards=1, cache_size=0, max_batch=rows,
+                         max_delay=5.0, backend=backend).build(keys) as server:
+            def client(name):
+                try:
+                    outcome[name] = server.serve_window(
+                        [Request(op=Op.LOOKUP, key=k) for k in windows[name]])
+                except RuntimeError as exc:
+                    outcome[name] = exc
+
+            threads = [threading.Thread(target=client, args=(name,)) for name in windows]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+            stats = server.stats()
+        assert isinstance(outcome["bad"], RuntimeError)
+        assert outcome["good"] == list(range(200))
+        assert stats["batches"] == 1  # the windows did fuse
+        assert stats["kernel_faults"] == 2  # the fused call, then the bad run alone
+
+    def test_kernel_faults_stays_zero_on_clean_traffic(self):
+        keys, _, stats, coalescer = _fixture(num_shards=1)
+        window = coalescer.submit_window(_lookups(keys[:30]))
+        coalescer.flush()
+        window.wait()
+        assert stats.kernel_faults == 0 and stats.snapshot()["kernel_faults"] == 0
