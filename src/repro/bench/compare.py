@@ -14,6 +14,10 @@ never becomes a future baseline.
 A missing baseline (first run of a configuration, or a deliberately
 changed experiment shape) passes with a notice: the guard compares
 like against like or not at all.
+
+A change that moves a headline on purpose re-bases it in the open:
+``--rebase "reason"`` records the run as a passing baseline with a
+``rebase`` field, so the ledger says why the bar moved.
 """
 
 from __future__ import annotations
@@ -94,7 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--append", action="store_true",
                         help="record this run in the history (flagged failed "
                              "on regression)")
+    parser.add_argument("--rebase", metavar="REASON",
+                        help="record this run as a passing baseline even on "
+                             "regression, storing REASON with it")
     args = parser.parse_args(argv)
+    if args.rebase is not None and not args.rebase.strip():
+        parser.error("--rebase needs a reason")
 
     artifact = Path(args.artifact)
     if not artifact.exists():
@@ -104,11 +113,13 @@ def main(argv: list[str] | None = None) -> int:
     history = load_history(args.history)
     regressions, report = compare_artifact(payload, history, args.threshold)
     print(report)
-    if args.append:
-        append_record(make_record(payload, passed=not regressions),
-                      path=args.history)
-        print(f"recorded run in {args.history} (passed={not regressions})")
-    if regressions:
+    if args.append or args.rebase:
+        record = make_record(payload, passed=not regressions or bool(args.rebase))
+        if args.rebase:
+            record["rebase"] = args.rebase
+        append_record(record, path=args.history)
+        print(f"recorded run in {args.history} (passed={record['passed']})")
+    if regressions and not args.rebase:
         print(f"\n{len(regressions)} headline regression(s):", file=sys.stderr)
         for line in regressions:
             print(f"  {line}", file=sys.stderr)

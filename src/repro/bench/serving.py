@@ -54,13 +54,13 @@ def _parse_names(value, default: tuple[str, ...], registry: dict) -> list[str]:
 
 
 def _serve_once(factory, data, requests, *, num_shards: int, max_batch: int,
-                max_delay: float, capacity: int, cache_size: int,
-                clients: int, pipeline: int, batch_submit: bool) -> dict:
+                capacity: int, cache_size: int, clients: int, pipeline: int,
+                batch_submit: bool) -> dict:
     """Build a server, drive the workload, return driver + server stats."""
     t0 = time.perf_counter()
     server = IndexServer(
         factory, num_shards=num_shards, max_batch=max_batch,
-        max_delay=max_delay, capacity=capacity, cache_size=cache_size,
+        capacity=capacity, cache_size=cache_size,
     ).build(data)
     build_s = time.perf_counter() - t0
     try:
@@ -86,8 +86,7 @@ def _serve_once(factory, data, requests, *, num_shards: int, max_batch: int,
 def run_e19(n: int = 100000, requests: int = 20000, dims: int = 2,
             dataset: str = "uniform", workload: str = "zipfian",
             shards=(1, 4), clients: int = 8, pipeline: int = 64,
-            max_batch: int = 512, max_delay: float = 0.002,
-            capacity: int = 1 << 20, cache_size: int = 0,
+            max_batch: int = 512, capacity: int = 1 << 20, cache_size: int = 0,
             indexes=None, indexes_md=None, seed: int = 1,
             out: str | None = "BENCH_serve.json",
             smoke: bool = False) -> list[dict]:
@@ -104,8 +103,7 @@ def run_e19(n: int = 100000, requests: int = 20000, dims: int = 2,
         clients: concurrent closed-loop client threads.
         pipeline: requests each client keeps in flight.
         max_batch: coalescing window of the coalesced arm (the baseline
-            arm always runs ``max_batch=1, max_delay=0``).
-        max_delay: window fill timeout (seconds) of the coalesced arm.
+            arm always runs ``max_batch=1``).
         capacity: per-shard admission queue bound (high by default so
             E19 measures latency rather than shedding).
         cache_size: result-cache entries (0 keeps the cache out of the
@@ -151,10 +149,9 @@ def run_e19(n: int = 100000, requests: int = 20000, dims: int = 2,
             common = dict(num_shards=num_shards, capacity=capacity,
                           cache_size=cache_size, clients=clients, pipeline=pipeline)
             coalesced = _serve_once(factory, data, work, max_batch=max_batch,
-                                    max_delay=max_delay, batch_submit=True,
-                                    **common)
+                                    batch_submit=True, **common)
             serial = _serve_once(factory, data, work, max_batch=1,
-                                 max_delay=0.0, batch_submit=False, **common)
+                                 batch_submit=False, **common)
             rows.append({
                 "space": space,
                 "index": name,
@@ -166,7 +163,6 @@ def run_e19(n: int = 100000, requests: int = 20000, dims: int = 2,
                 "clients": clients,
                 "pipeline": pipeline,
                 "max_batch": max_batch,
-                "max_delay_ms": max_delay * 1e3,
                 "coalesced": coalesced,
                 "serial": serial,
                 "speedup": (coalesced["ops_per_s"] / serial["ops_per_s"]

@@ -64,7 +64,7 @@ def _chunks(requests: list, steps_per_phase: int) -> list[list]:
 
 
 def _run_arm(factory, keys, phase_requests, *, tuned: bool, num_shards: int,
-             max_batch: int, max_delay: float, capacity: int, clients: int,
+             max_batch: int, capacity: int, clients: int,
              pipeline: int, steps_per_phase: int,
              tune_config: TuneConfig) -> dict:
     """Serve every phase on a fresh server; optionally tune mid-phase.
@@ -79,7 +79,7 @@ def _run_arm(factory, keys, phase_requests, *, tuned: bool, num_shards: int,
     """
     server = IndexServer(
         factory, num_shards=num_shards, max_batch=max_batch,
-        max_delay=max_delay, capacity=capacity, cache_size=0,
+        capacity=capacity, cache_size=0,
     ).build(keys)
     tuner = Tuner(server, tune_config, reference=keys) if tuned else None
     phase_ops: list[float] = []
@@ -130,8 +130,8 @@ def run_e23(n: int = 20000, requests: int = 48000, phases: int = 6,
             steps_per_phase: int = 3, num_shards: int = 4,
             index: str = "dynamic-pgm", dataset: str = "uniform",
             clients: int = 4, pipeline: int = 32,
-            max_batch: int = 128, max_delay: float = 0.001,
-            capacity: int = 1 << 20, band_frac: float = 0.2,
+            max_batch: int = 128, capacity: int = 1 << 20,
+            band_frac: float = 0.2,
             zipf_a: float = 1.25, write_low: float = 0.7,
             write_high: float = 0.02, background: float = 0.2,
             dwell: int = 2, seed: int = 1,
@@ -150,7 +150,7 @@ def run_e23(n: int = 20000, requests: int = 48000, phases: int = 6,
         index: mutable 1-d factory name (needs insert support).
         dataset: ``load_1d`` dataset name.
         clients / pipeline: closed-loop driver shape.
-        max_batch / max_delay / capacity: identical server knobs for
+        max_batch / capacity: identical server knobs for
             both arms (cache disabled — generation-keyed caching would
             blur the index-shape story E23 isolates).
         band_frac: fraction of the key order the hotspot band covers.
@@ -189,8 +189,8 @@ def run_e23(n: int = 20000, requests: int = 48000, phases: int = 6,
                                write_ratios=(write_low, write_high),
                                background=background, dwell=dwell)
     common = dict(
-        num_shards=num_shards, max_batch=max_batch, max_delay=max_delay,
-        capacity=capacity, clients=clients, pipeline=pipeline,
+        num_shards=num_shards, max_batch=max_batch, capacity=capacity,
+        clients=clients, pipeline=pipeline,
         steps_per_phase=steps_per_phase, tune_config=DEFAULT_E23_TUNE,
     )
     static = _run_arm(factory, keys, schedule, tuned=False, **common)

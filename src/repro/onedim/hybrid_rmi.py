@@ -106,7 +106,11 @@ class HybridRMIIndex(OneDimIndex):
             predicted = (lo + hi) // 2
             return exponential_search(self._keys, key, predicted, self.stats)
         self.stats.model_predictions += 1
-        predicted = int(np.clip(round(payload.predict(key)), 0, n - 1))
+        raw = payload.predict(key)
+        if not np.isfinite(raw):
+            # +-inf probes (open-ended scans): saturate the prediction.
+            raw = 0 if raw < 0 else n - 1
+        predicted = int(np.clip(round(raw), 0, n - 1))
         pos = bounded_binary_search(self._keys, key, predicted, int(meta), self.stats)
         if (pos < n and self._keys[pos] < key) or (pos > 0 and self._keys[pos - 1] >= key):
             pos = exponential_search(self._keys, key, predicted, self.stats)

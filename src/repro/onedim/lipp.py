@@ -162,7 +162,8 @@ class LIPPIndex(MutableOneDimIndex):
             return int(np.searchsorted(node.boundaries, key, side="right"))
         raw = node.model.predict(key)
         if not np.isfinite(raw):
-            return 0
+            # +-inf probes (open-ended scans): saturate the slot.
+            return node.capacity - 1 if raw > 0 else 0
         pred = int(raw)
         if pred < 0:
             return 0

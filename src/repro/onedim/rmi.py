@@ -158,7 +158,11 @@ class RMIIndex(OneDimIndex):
         leaf = self._leaves[leaf_id]
         self.stats.model_predictions += 1
         self.stats.nodes_visited += 2
-        predicted = int(np.clip(round(leaf.predict(key)), 0, n - 1))
+        raw = leaf.predict(key)
+        if not np.isfinite(raw):
+            # +-inf probes (open-ended scans): saturate the prediction.
+            raw = 0 if raw < 0 else n - 1
+        predicted = int(np.clip(round(raw), 0, n - 1))
         error = self._leaf_errors[leaf_id]
         pos = bounded_binary_search(self._keys, key, predicted, error, self.stats)
         # Guard against routing misses near leaf boundaries: a key may be

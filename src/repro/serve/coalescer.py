@@ -6,9 +6,9 @@ kernels (``lookup_batch``, ``point_query_batch``) answer hundreds of
 queries for roughly the price of one scalar call.  The coalescer turns
 that observation into a serving discipline: concurrent clients submit
 *scalar* requests, each shard owns a FIFO queue, and a worker thread per
-shard drains up to ``max_batch`` requests at a time (waiting at most
-``max_delay`` seconds for the window to fill), dispatching consecutive
-runs of the same coalescable operation through one batch-kernel call.
+shard drains whatever is queued when it wakes, never waiting for more,
+and fuses consecutive runs of the same coalescable operation into one
+batch-kernel call: rows that arrive while it is busy fuse next drain.
 
 The unit of work is the **run** (:class:`_Run`), not the request: one
 same-op stretch of one submission bound for one shard, held as columns
@@ -211,11 +211,10 @@ class Coalescer:
         store: the built :class:`ShardedStore` requests execute against.
         stats: shared :class:`ServerStats` sink.
         max_batch: most requests drained into one batch-kernel call;
-            ``1`` disables coalescing (every request runs scalar), which
-            is exactly the E19 baseline configuration.
-        max_delay: longest time (seconds) a worker waits for its window
-            to fill once at least one request is queued; ``0`` drains
-            immediately.
+            ``None`` (the default) drains the whole queue, which
+            ``capacity`` bounds; ``1`` disables coalescing (every
+            request runs scalar), which is exactly the E19 baseline
+            configuration.
         capacity: per-shard queue bound (in requests) for admission
             control.
         executor: optional
@@ -227,18 +226,16 @@ class Coalescer:
     """
 
     def __init__(self, store: ShardedStore, stats: ServerStats,
-                 max_batch: int = 256, max_delay: float = 0.001,
-                 capacity: int = 4096,
+                 max_batch: int | None = None, capacity: int = 4096,
                  executor: ProcessShardExecutor | None = None) -> None:
-        if max_batch < 1:
+        if max_batch is not None and max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.store = store
         self.stats = stats
         self.executor = executor
-        self.max_batch = max_batch
-        self.max_delay = max_delay
+        self.max_batch = capacity if max_batch is None else max_batch
         self.capacity = capacity
         self._queues: list[deque[_Run]] = [deque() for _ in range(store.num_shards)]
         # Queued *requests* per shard (a queue's length counts runs);
@@ -434,12 +431,12 @@ class Coalescer:
             batch = self._take_batch(shard, wait=True)
             if batch is None:
                 return
-            if batch:
-                self._dispatch(shard, batch)
+            self._dispatch(shard, batch)
 
     def _take_batch(self, shard: int, wait: bool) -> list[_Run] | None:
-        """Pop runs worth up to ``max_batch`` requests (splitting the run
-        that crosses the bound); None signals worker shutdown."""
+        """Pop what is queued — never waiting for more — up to ``max_batch``
+        requests (splitting the run that crosses the bound); None signals
+        worker shutdown."""
         cond = self._conds[shard]
         queue = self._queues[shard]
         with cond:
@@ -447,16 +444,8 @@ class Coalescer:
             if wait:
                 while not queue and not self._stopping:
                     cond.wait()
-                if not queue and self._stopping:
+                if not queue:
                     return None
-                if (self.max_delay > 0 and depths[shard] < self.max_batch
-                        and not self._stopping):
-                    deadline = time.monotonic() + self.max_delay
-                    while depths[shard] < self.max_batch and not self._stopping:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        cond.wait(remaining)
             batch: list[_Run] = []
             room = self.max_batch
             while queue and room:

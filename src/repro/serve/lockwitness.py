@@ -41,8 +41,7 @@ def run_witness_workload() -> None:
     factory = ONE_DIM_FACTORIES["b+tree"]
     data = np.sort(np.random.default_rng(7).uniform(0.0, 1e6, 512))
 
-    server = IndexServer(factory, num_shards=2, max_batch=8,
-                         max_delay=0.001, cache_size=16)
+    server = IndexServer(factory, num_shards=2, max_batch=8, cache_size=16)
     server.build(data)
     try:
         for key in data[:64]:
@@ -55,8 +54,7 @@ def run_witness_workload() -> None:
     # second submit records Coalescer._conds -> ServerStats._lock.
     store = ShardedStore(factory, num_shards=1)
     store.build(data)
-    coalescer = Coalescer(store, ServerStats(1), max_batch=4,
-                          max_delay=0.001, capacity=1)
+    coalescer = Coalescer(store, ServerStats(1), max_batch=4, capacity=1)
     coalescer.submit(Request(op=Op.LOOKUP, key=float(data[0])))
     coalescer.submit(Request(op=Op.LOOKUP, key=float(data[0])))
     coalescer.close()

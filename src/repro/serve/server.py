@@ -45,8 +45,9 @@ class IndexServer:
     Args:
         factory: zero-argument index constructor handed to the store.
         num_shards: partition count (one worker thread per shard).
-        max_batch: coalescing window size; ``1`` serves one-at-a-time.
-        max_delay: coalescing window fill timeout in seconds.
+        max_batch: most requests per kernel call; ``None`` (the default)
+            drains each shard's whole queue on every worker wake-up,
+            ``1`` serves one-at-a-time.
         capacity: per-shard admission-control queue bound.
         cache_size: result-cache entries; ``0`` disables caching.
         cache_ttl: optional result-cache TTL in seconds.
@@ -59,9 +60,8 @@ class IndexServer:
     """
 
     def __init__(self, factory: Callable[[], object], num_shards: int = 4,
-                 max_batch: int = 256, max_delay: float = 0.001,
-                 capacity: int = 4096, cache_size: int = 0,
-                 cache_ttl: float | None = None,
+                 max_batch: int | None = None, capacity: int = 4096,
+                 cache_size: int = 0, cache_ttl: float | None = None,
                  backend: str = "thread", *,
                  _store: ShardedStore | None = None) -> None:
         if backend not in ("thread", "process"):
@@ -74,10 +74,8 @@ class IndexServer:
         self._stats = ServerStats(self._store.num_shards)
         self._cache = ResultCache(capacity=cache_size, ttl=cache_ttl)
         self._executor: ProcessShardExecutor | None = None
-        self._coalescer = Coalescer(
-            self._store, self._stats,
-            max_batch=max_batch, max_delay=max_delay, capacity=capacity,
-        )
+        self._coalescer = Coalescer(self._store, self._stats,
+                                    max_batch=max_batch, capacity=capacity)
         # Workload observer hook (repro.tune): called once per submitted
         # request on the client thread, with no server lock held.  None
         # (the default) keeps the serving hot path completely untouched.
@@ -179,9 +177,8 @@ class IndexServer:
     def from_snapshot(cls, directory: str | Path,
                       factory: Callable[[], object] | None = None,
                       mmap_mode: str | None = "r",
-                      max_batch: int = 256, max_delay: float = 0.001,
-                      capacity: int = 4096, cache_size: int = 0,
-                      cache_ttl: float | None = None,
+                      max_batch: int | None = None, capacity: int = 4096,
+                      cache_size: int = 0, cache_ttl: float | None = None,
                       backend: str = "thread") -> "IndexServer":
         """Restore a serving-ready server from :meth:`save_snapshot` output.
 
@@ -198,7 +195,7 @@ class IndexServer:
         )
         server = cls(
             store._factory, num_shards=store.num_shards,
-            max_batch=max_batch, max_delay=max_delay, capacity=capacity,
+            max_batch=max_batch, capacity=capacity,
             cache_size=cache_size, cache_ttl=cache_ttl, backend=backend,
             _store=store,
         )

@@ -164,3 +164,26 @@ class TestCli:
         assert main([str(soso), "--history", str(history)]) == 1
         assert main([str(soso), "--history", str(history),
                      "--threshold", "0.5"]) == 0
+
+    def test_rebase_records_a_regressed_run_as_the_new_baseline(self, tmp_path, capsys):
+        history = tmp_path / "hist.jsonl"
+        good = self._write(tmp_path, _e20_payload({"r": 0.8}), "good.json")
+        moved = self._write(tmp_path, _e20_payload({"r": 0.55}), "moved.json")
+        assert main([str(good), "--history", str(history), "--append"]) == 0
+        assert main([str(moved), "--history", str(history)]) == 1
+        assert main([str(moved), "--history", str(history),
+                     "--rebase", "thread arm sped up"]) == 0
+        records = load_history(history)
+        assert [r["passed"] for r in records] == [True, True]
+        assert "rebase" not in records[0]
+        assert records[1]["rebase"] == "thread arm sped up"
+        assert records[1]["headlines"] == {"r": 0.55}
+        # The re-based level is the bar from now on.
+        assert main([str(moved), "--history", str(history)]) == 0
+        assert main([str(good), "--history", str(history)]) == 0
+
+    def test_rebase_needs_a_reason(self, tmp_path, capsys):
+        artifact = self._write(tmp_path, _e20_payload({"r": 0.8}))
+        with pytest.raises(SystemExit):
+            main([str(artifact), "--history", str(tmp_path / "h.jsonl"), "--rebase", " "])
+        assert not (tmp_path / "h.jsonl").exists()

@@ -180,7 +180,7 @@ class TestStaticRuntimeCrossValidation:
         try:
             # A normal sanitized workload must run to completion silently.
             server = IndexServer(ONE_DIM_FACTORIES["b+tree"], num_shards=2,
-                                 max_batch=8, max_delay=0.001, cache_size=16)
+                                 max_batch=8, cache_size=16)
             server.build(data)
             try:
                 for key in data[:64]:
@@ -202,8 +202,7 @@ class TestStaticRuntimeCrossValidation:
             store = ShardedStore(ONE_DIM_FACTORIES["b+tree"], num_shards=1)
             store.build(data)
             stats = ServerStats(1)
-            coalescer = Coalescer(store, stats, max_batch=4,
-                                  max_delay=0.001, capacity=1)
+            coalescer = Coalescer(store, stats, max_batch=4, capacity=1)
             first = coalescer.submit(Request(op=Op.LOOKUP, key=float(data[0])))
             second = coalescer.submit(Request(op=Op.LOOKUP, key=float(data[0])))
             assert isinstance(second.result(timeout=5.0), Overloaded)

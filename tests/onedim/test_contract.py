@@ -95,6 +95,13 @@ class TestRangeContract:
         keys = [k for k, _ in result]
         assert keys == sorted(keys)
 
+    def test_unbounded_range_returns_every_item(self, any_factory, uniform_keys):
+        """``range_query(-inf, inf)`` is how a shard is enumerated for
+        re-partitioning; a short answer there silently drops keys."""
+        index = any_factory().build(uniform_keys)
+        result = index.range_query(-np.inf, np.inf)
+        assert [v for _, v in result] == list(range(uniform_keys.size))
+
 
 class TestMutableContract:
     def test_insert_new_keys(self, mutable_factory, uniform_keys):

@@ -1,6 +1,7 @@
 """Coalescer edge cases: empty flush, batch parity, shedding, determinism."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -143,9 +144,7 @@ class TestThreadedDeterminism:
         requests = make_workload("zipfian", keys, 3000, seed=7)
 
         def drive():
-            server = IndexServer(
-                SortedArrayIndex, num_shards=4, max_batch=128, max_delay=0.001
-            ).build(keys)
+            server = IndexServer(SortedArrayIndex, num_shards=4, max_batch=128).build(keys)
             try:
                 return run_closed_loop(server, requests, clients=8, pipeline=32)
             finally:
@@ -188,7 +187,7 @@ class TestClose:
         assert stats.responses == 20
 
     def test_close_with_workers_resolves_every_future(self):
-        keys, _, _, coalescer = _fixture(max_batch=8, max_delay=0.001)
+        keys, _, _, coalescer = _fixture(max_batch=8)
         coalescer.start()
         futures = [
             coalescer.submit(Request(op=Op.LOOKUP, key=float(k))) for k in keys[:100]
@@ -215,7 +214,7 @@ class TestClose:
             )
 
     def test_start_reopens_a_closed_coalescer(self):
-        keys, _, _, coalescer = _fixture(max_batch=8, max_delay=0.001)
+        keys, _, _, coalescer = _fixture(max_batch=8)
         direct = SortedArrayIndex().build(keys)
         coalescer.start()
         coalescer.close()
@@ -227,8 +226,7 @@ class TestClose:
     def test_server_close_orders_coalescer_before_executor(self):
         """IndexServer.close() is idempotent and leaves no pending futures."""
         keys = np.random.default_rng(1).uniform(0.0, 1e6, 300)
-        server = IndexServer(SortedArrayIndex, num_shards=2, max_batch=16,
-                             max_delay=0.001).build(keys)
+        server = IndexServer(SortedArrayIndex, num_shards=2, max_batch=16).build(keys)
         futures = [
             server.submit(Request(op=Op.LOOKUP, key=float(k))) for k in keys[:50]
         ]
@@ -239,6 +237,22 @@ class TestClose:
 
 def _lookups(keys):
     return [Request(op=Op.LOOKUP, key=float(k)) for k in keys]
+
+
+def _kernel_sizes(store, shard=0):
+    """Record the size of every ``lookup_batch`` call on one shard."""
+    sizes = []
+    kernel = store.shards[shard].lookup_batch
+    store.shards[shard].lookup_batch = lambda column: (sizes.append(len(column)),
+                                                       kernel(column))[1]
+    return sizes
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.001)
 
 
 class TestRunQueue:
@@ -274,22 +288,25 @@ class TestRunQueue:
     def test_max_batch_splits_a_run_and_bounds_every_kernel_call(self):
         keys, store, stats, coalescer = _fixture(num_shards=1, max_batch=8)
         direct = SortedArrayIndex().build(keys)
-        sizes = []
-        kernel = store.shards[0].lookup_batch
-        store.shards[0].lookup_batch = lambda column: (sizes.append(len(column)),
-                                                       kernel(column))[1]
+        sizes = _kernel_sizes(store)
         window = coalescer.submit_window(_lookups(keys[:20]))
         assert coalescer.flush() == 20
         assert sizes == [8, 8, 4]
         assert stats.batches == 3 and stats.batched_requests == 20
         assert window.wait() == [direct.lookup(k) for k in keys[:20]]
 
+    def test_default_cap_never_cuts_a_run(self):
+        keys, store, _, coalescer = _fixture(num_shards=1)
+        direct = SortedArrayIndex().build(keys)
+        sizes = _kernel_sizes(store)
+        window = coalescer.submit_window(_lookups(keys[:300]))
+        assert coalescer.flush() == 300
+        assert sizes == [300]
+        assert window.wait() == [direct.lookup(k) for k in keys[:300]]
+
     def test_runs_of_two_windows_fuse_into_one_kernel_call(self):
         keys, store, stats, coalescer = _fixture(num_shards=1, max_batch=64)
-        sizes = []
-        kernel = store.shards[0].lookup_batch
-        store.shards[0].lookup_batch = lambda column: (sizes.append(len(column)),
-                                                       kernel(column))[1]
+        sizes = _kernel_sizes(store)
         one = coalescer.submit_window(_lookups(keys[:10]))
         two = coalescer.submit_window(_lookups(keys[10:25]))
         coalescer.flush()
@@ -297,6 +314,25 @@ class TestRunQueue:
         direct = SortedArrayIndex().build(keys)
         assert one.wait() + two.wait() == [direct.lookup(k) for k in keys[:25]]
         assert stats.latency.total == 25
+
+    def test_windows_queued_while_the_worker_is_busy_fuse_on_its_next_drain(self):
+        """Drain on wake: the worker takes what is queued and never waits
+        for more, yet rows that arrive while it is busy fuse."""
+        keys, store, _, coalescer = _fixture(num_shards=1)
+        direct = SortedArrayIndex().build(keys)
+        sizes = _kernel_sizes(store)
+        coalescer.start()
+        try:
+            with store._locks[0]:             # the worker blocks in its first kernel call
+                first = coalescer.submit_window(_lookups(keys[:5]))
+                _wait_until(lambda: coalescer.queue_depths() == [0])
+                one = coalescer.submit_window(_lookups(keys[5:15]))
+                two = coalescer.submit_window(_lookups(keys[15:40]))
+            results = first.wait() + one.wait() + two.wait()
+        finally:
+            coalescer.close()
+        assert sizes == [5, 35]
+        assert results == [direct.lookup(k) for k in keys[:40]]
 
     def test_max_batch_one_executes_every_row_through_scalar_execute(self):
         keys, store, stats, coalescer = _fixture(num_shards=2, max_batch=1)
@@ -367,7 +403,7 @@ class TestCloseWithQueuedRuns:
     def test_submit_window_racing_close_completes_or_raises_never_hangs(self):
         import threading
 
-        keys, _, _, coalescer = _fixture(num_shards=4, max_batch=16, max_delay=0.0005)
+        keys, _, _, coalescer = _fixture(num_shards=4, max_batch=16)
         direct = SortedArrayIndex().build(keys)
         expected = [direct.lookup(k) for k in keys[:64]]
         coalescer.start()
@@ -419,10 +455,8 @@ class TestNoFateSharing:
         windows = {"bad": [1.0, FAULT_KEY, 2.0], "good": [float(k) for k in range(200)]}
         rows = sum(len(w) for w in windows.values())
         outcome = {}
-        # max_batch == the two windows' rows: the worker dispatches the
-        # moment both have queued, so they share one kernel call.
-        with IndexServer(_FaultyIndex, num_shards=1, cache_size=0, max_batch=rows,
-                         max_delay=5.0, backend=backend).build(keys) as server:
+        with IndexServer(_FaultyIndex, num_shards=1, cache_size=0,
+                         backend=backend).build(keys) as server:
             def client(name):
                 try:
                     outcome[name] = server.serve_window(
@@ -430,12 +464,21 @@ class TestNoFateSharing:
                 except RuntimeError as exc:
                     outcome[name] = exc
 
+            depths = server._coalescer.queue_depths
             threads = [threading.Thread(target=client, args=(name,)) for name in windows]
-            for t in threads:
-                t.start()
+            # Park the worker on the shard lock behind a scalar range (a
+            # run that counts no batch), queue both windows, then let it
+            # go: its next drain fuses them into one kernel call.
+            with server.store._locks[0]:
+                plug = server.submit(Request(op=Op.RANGE_1D, low=-2.0, high=-1.0))
+                _wait_until(lambda: depths() == [0])
+                for t in threads:
+                    t.start()
+                _wait_until(lambda: depths() == [rows])
             for t in threads:
                 t.join(timeout=30.0)
                 assert not t.is_alive()
+            assert plug.result(timeout=30.0).value == []
             stats = server.stats()
         assert isinstance(outcome["bad"], RuntimeError)
         assert outcome["good"] == list(range(200))

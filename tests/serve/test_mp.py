@@ -29,7 +29,6 @@ N_SHARDS = 2
 def _process_server(factory, data, **kwargs):
     kwargs.setdefault("num_shards", N_SHARDS)
     kwargs.setdefault("cache_size", 0)  # raw window path: batches hit workers
-    kwargs.setdefault("max_delay", 0.005)
     return IndexServer(factory, backend="process", **kwargs).build(data)
 
 

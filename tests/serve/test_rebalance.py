@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import SortedArrayIndex
-from repro.bench.runner import MULTI_DIM_FACTORIES, MUTABLE_ONE_DIM_FACTORIES
+from repro.bench.runner import (
+    MULTI_DIM_FACTORIES,
+    MUTABLE_ONE_DIM_FACTORIES,
+    ONE_DIM_FACTORIES,
+)
 from repro.serve import IndexServer, Op, Request, ShardedStore
 
 
@@ -78,6 +82,19 @@ class TestRebalanceParity:
         # SortedArray/dynamic-PGM have no tune hook: retune is a typed no-op.
         assert store.retune_shard(0, [((0.0,), (1.0,))]) is False
         assert store.generations[0] == before[0]
+
+    @pytest.mark.parametrize("name", ["rmi", "lipp"])
+    def test_repartitioning_keeps_every_key(self, name):
+        """Re-partitioning enumerates each shard with an unbounded range
+        scan: it must neither raise (rmi) nor come back short (lipp)."""
+        keys = _keys()
+        direct = SortedArrayIndex().build(keys)
+        with IndexServer(ONE_DIM_FACTORIES[name], num_shards=3).build(keys) as server:
+            server.store.rebalance(sample=np.linspace(0.0, 2e5, 256))
+            server.store.rebuild_shard(0)
+            assert len(server) == keys.size
+            assert [server.lookup(float(k)) for k in keys[::11]] == [
+                direct.lookup(float(k)) for k in keys[::11]]
 
 
 class TestResultCacheAcrossRebalance:
@@ -157,8 +174,7 @@ class TestProcessBackendRebalance:
         keys = _keys(400)
         direct = SortedArrayIndex().build(keys)
         server = IndexServer(SortedArrayIndex, backend="process",
-                             num_shards=2, cache_size=0,
-                             max_delay=0.005).build(keys)
+                             num_shards=2, cache_size=0).build(keys)
         try:
             probe = [float(k) for k in keys[::9]] + [7.5, -3.0]
             window = [Request(op=Op.LOOKUP, key=k) for k in probe]

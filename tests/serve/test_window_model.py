@@ -80,7 +80,7 @@ def one_dim(request):
                             np.arange(READ_ONLY[0], READ_ONLY[1])])
     oracle = {float(k): rank for rank, k in enumerate(built)}
     server = IndexServer(MUTABLE_ONE_DIM_FACTORIES["dynamic-pgm"], num_shards=shards,
-                         max_batch=4, max_delay=0.0005, backend=backend).build(built)
+                         max_batch=4, backend=backend).build(built)
     yield server, oracle, shards == 1
     server.close()
 
@@ -102,7 +102,7 @@ def multi_dim():
     built = np.array([(x, y) for x in range(0, 6, 2) for y in range(0, 6)], dtype=np.float64)
     oracle = {tuple(p): row for row, p in enumerate(built.tolist())}
     server = IndexServer(MUTABLE_MULTI_DIM_FACTORIES["grid"], num_shards=2,
-                         max_batch=4, max_delay=0.0005).build(built)
+                         max_batch=4).build(built)
     yield server, oracle
     server.close()
 
