@@ -43,6 +43,12 @@ DEFAULT_E17_INDEXES = ("binary-search", "rmi", "pgm", "radix-spline", "b+tree")
 #: this index's batch throughput (``vs_binary_batch``).
 BATCH_REFERENCE = "binary-search"
 
+#: Rounds of E17 batch calls; each round times every index once and an
+#: index keeps its fastest call.  ``vs_binary_batch`` divides two batch
+#: timings, and one ``--smoke`` call is a ~0.2 ms sample: interleaving
+#: puts both sides of the ratio under the same machine load.
+E17_BATCH_ROUNDS = 7
+
 #: Multi-d contenders with vectorized fast paths (projected curve, learned
 #: grid, uniform grid, learned shards) plus the loop-fallback KD-tree as
 #: the control.
@@ -79,7 +85,9 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
     Returns:
         One row per index with scalar/batch ops/sec, the batch-vs-scalar
         ``speedup``, the absolute ``batch_us_per_key`` and
-        ``vs_binary_batch`` (batch ops/sec over ``binary-search``'s).
+        ``vs_binary_batch`` (batch ops/sec over ``binary-search``'s; the
+        regression-gated headline).  Batch numbers are each index's
+        fastest call over :data:`E17_BATCH_ROUNDS` interleaved rounds.
     """
     if smoke:
         n = min(n, 5000)
@@ -94,11 +102,25 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
     keys = load_1d(dataset, n, seed=seed)
     queries = point_lookups(keys, batch, seed=seed + 1)
 
+    built = {name: build_index(ONE_DIM_FACTORIES[name], keys) for name in names}
+    # The honest reference for a learned batch kernel is one vectorized
+    # ``searchsorted`` over the same keys, not its own scalar loop.
+    timed = {name: index for name, (index, _) in built.items()}
+    if BATCH_REFERENCE not in timed:
+        timed[BATCH_REFERENCE] = build_index(ONE_DIM_FACTORIES[BATCH_REFERENCE], keys)[0]
+    fastest: dict[str, dict] = {}
+    for _ in range(E17_BATCH_ROUNDS):
+        for name, index in timed.items():
+            run = measure_batch_lookups(index, queries)
+            if name not in fastest or run["lookup_us"] < fastest[name]["lookup_us"]:
+                fastest[name] = run
+    reference = fastest[BATCH_REFERENCE]["ops_per_s"]
+
     rows = []
     for name in names:
-        index, build_s = build_index(ONE_DIM_FACTORIES[name], keys)
+        index, build_s = built[name]
         scalar = measure_lookups(index, queries)
-        batched = measure_batch_lookups(index, queries)
+        batched = fastest[name]
         scalar_ops = 1e6 / scalar["lookup_us"] if scalar["lookup_us"] else 0.0
         batch_ops = batched["ops_per_s"]
         rows.append({
@@ -113,16 +135,8 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
             "hits_scalar": scalar["hits"],
             "hits_batch": batched["hits"],
             "build_s": build_s,
+            "vs_binary_batch": batch_ops / reference if reference else 0.0,
         })
-    # The honest reference for a learned batch kernel is one vectorized
-    # ``searchsorted`` over the same keys, not its own scalar loop.
-    reference = next((row["batch_ops_per_s"] for row in rows
-                      if row["index"] == BATCH_REFERENCE), None)
-    if reference is None:
-        index, _ = build_index(ONE_DIM_FACTORIES[BATCH_REFERENCE], keys)
-        reference = measure_batch_lookups(index, queries)["ops_per_s"]
-    for row in rows:
-        row["vs_binary_batch"] = row["batch_ops_per_s"] / reference if reference else 0.0
 
     if out:
         payload = {

@@ -15,6 +15,7 @@ survey's taxonomy).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,9 @@ from repro.models.pla import Segment, segment_stream
 from repro.onedim._search import bounded_binary_search, bounded_search_batch, scan_range
 
 __all__ = ["PGMIndex", "DynamicPGMIndex"]
+
+#: Sentinel telling "not buffered" apart from a buffered ``None`` value.
+_MISS = object()
 
 
 class PGMIndex(OneDimIndex):
@@ -112,10 +116,10 @@ class PGMIndex(OneDimIndex):
             self.stats.model_predictions += 1
             self.stats.nodes_visited += 1
             raw = seg.predict(key)
-            if not np.isfinite(raw):
+            if not math.isfinite(raw):
                 # +-inf probes (open-ended scans): saturate the prediction.
                 raw = seg.first if raw < 0 else seg.last - 1
-            predicted = int(np.clip(round(raw), seg.first, seg.last - 1))
+            predicted = min(max(round(raw), seg.first), seg.last - 1)
             pos = bounded_binary_search(level_keys, key, predicted, epsilon + 1, self.stats)
             if level == 0:
                 return pos
@@ -138,59 +142,73 @@ class PGMIndex(OneDimIndex):
             self.stats.comparisons += 1
         return idx
 
+    def _find(self, key: float) -> int:
+        """Position of ``key`` in the data array, or -1 when absent."""
+        n = self._keys.size
+        if n == 0:
+            return -1
+        pos = self._locate(key)
+        if pos < n and self._keys[pos] == key:
+            return pos
+        return -1
+
     def lookup(self, key: float) -> object | None:
         self._require_built()
-        if self._keys.size == 0:
+        pos = self._find(float(key))
+        if pos < 0:
             return None
-        key = float(key)
-        pos = self._locate(key)
-        if pos < self._keys.size and self._keys[pos] == key:
-            self.stats.keys_scanned += 1
-            return self._values[pos]
-        return None
+        self.stats.keys_scanned += 1
+        return self._values[pos]
 
     def _locate_batch(self, qs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_locate` over a whole query batch.
 
         Walks the PLA levels top-down exactly like the scalar path, but
         carries an int64 array of per-query segment indexes instead of a
-        single one.  The scalar ``_segment_containing`` walk resolves to
-        the last segment whose first-key is <= the query (clamped to 0),
-        which is one ``np.searchsorted(side='right') - 1`` per level.
+        single one.  The top level is one segment, so its parameters are
+        scalars and need no gathers.  The scalar ``_segment_containing``
+        walk resolves to the last segment whose first-key is <= the query
+        (clamped to 0), which is one ``np.searchsorted(side='right') - 1``
+        per level.
         """
-        top = len(self._levels) - 1
         m = qs.size
-        seg_idx = np.zeros(m, dtype=np.int64)
-        for level in range(top, -1, -1):
+        seg_idx: np.ndarray | None = None
+        for level in range(len(self._levels) - 1, -1, -1):
             seg_keys, slopes, anchors, firsts, lasts = self._level_arrays[level]
-            level_keys = self._level_keys[level]
-            epsilon = self.epsilon if level == 0 else self.epsilon_recursive
-            raw = slopes[seg_idx] * (qs - seg_keys[seg_idx]) + anchors[seg_idx]
-            bad = ~np.isfinite(raw)
-            if bad.any():
+            if seg_idx is None:
+                seg_keys, slopes, anchors, firsts, lasts = (
+                    seg_keys[0], slopes[0], anchors[0], firsts[0], lasts[0])
+            else:
+                seg_keys, slopes, anchors, firsts, lasts = (
+                    seg_keys[seg_idx], slopes[seg_idx], anchors[seg_idx],
+                    firsts[seg_idx], lasts[seg_idx])
+            raw = slopes * (qs - seg_keys) + anchors
+            finite = np.isfinite(raw)
+            if not finite.all():
                 # +-inf probes: saturate exactly like the scalar path
                 # (NaN compares false, so it saturates high there too).
                 with np.errstate(invalid="ignore"):
-                    raw = np.where(
-                        bad,
-                        np.where(raw < 0, firsts[seg_idx],
-                                 lasts[seg_idx] - 1).astype(np.float64),
-                        raw,
-                    )
-            predicted = np.clip(np.rint(raw), firsts[seg_idx],
-                                lasts[seg_idx] - 1).astype(np.int64)
+                    raw = np.where(finite, raw, np.where(raw < 0, firsts, lasts - 1))
+            predicted = np.minimum(np.maximum(np.rint(raw), firsts),
+                                   lasts - 1).astype(np.int64)
             self.stats.model_predictions += m
             self.stats.nodes_visited += m
-            pos = bounded_search_batch(level_keys, qs, predicted,
+            epsilon = self.epsilon if level == 0 else self.epsilon_recursive
+            pos = bounded_search_batch(self._level_keys[level], qs, predicted,
                                        epsilon + 1, self.stats)
             if level == 0:
                 return pos
             below_keys = self._level_arrays[level - 1][0]
-            seg_idx = np.clip(
-                np.searchsorted(below_keys, qs, side="right") - 1,
-                0, below_keys.size - 1,
-            )
+            # side="right" - 1 is at most size - 1 already; only 0 clamps.
+            seg_idx = np.maximum(np.searchsorted(below_keys, qs, side="right") - 1, 0)
         return np.zeros(m, dtype=np.int64)  # pragma: no cover
+
+    def _find_batch(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`_find` on a non-empty index: ``(positions,
+        hit mask)``; a position is meaningful only where the mask is set."""
+        n = self._keys.size
+        pos = self._locate_batch(qs)
+        return pos, (pos < n) & (self._keys[np.minimum(pos, n - 1)] == qs)
 
     def lookup_batch(self, keys) -> np.ndarray:
         """Vectorized batch lookup (element-wise equal to scalar lookups)."""
@@ -198,13 +216,10 @@ class PGMIndex(OneDimIndex):
         qs = np.asarray(keys, dtype=np.float64)
         if qs.ndim != 1:
             raise ValueError("keys must be one-dimensional")
-        m = qs.size
-        out = np.full(m, None, dtype=object)
-        n = self._keys.size
-        if n == 0 or m == 0:
+        out = np.full(qs.size, None, dtype=object)
+        if self._keys.size == 0 or qs.size == 0:
             return out
-        pos = self._locate_batch(qs)
-        hit = (pos < n) & (self._keys[np.minimum(pos, n - 1)] == qs)
+        pos, hit = self._find_batch(qs)
         hit_idx = np.nonzero(hit)[0]
         self.stats.keys_scanned += int(hit_idx.size)
         out[hit_idx] = self._values_arr[pos[hit_idx]]
@@ -307,40 +322,36 @@ class DynamicPGMIndex(MutableOneDimIndex):
 
         Compaction-bounded: each key is rewritten once per level it
         cascades through, amortizing the merge to O(log n) per insert.
+        The buffer and every full level below the first empty one merge
+        into that empty level (newest value wins), so the levels stay
+        ordered newest first.  A tombstone survives while a static level
+        still holds its key and is dropped once none does.
         """
-        items = dict(self._buffer)
+        items = self._buffer
         self._buffer = {}
         level = 0
-        while True:
-            if level >= len(self._static):
-                self._static.extend([None] * (level - len(self._static) + 1))
+        while level < len(self._static) and self._static[level] is not None:
             existing = self._static[level]
-            if existing is None:
-                break
-            for k, v in zip(existing._keys, existing._values):
-                items.setdefault(float(k), v)
+            for k, v in zip(existing._keys.tolist(), existing._values):
+                items.setdefault(k, v)
             self._static[level] = None
             level += 1
-        # Apply pending tombstones during the merge.
-        live = {k: v for k, v in items.items() if k not in self._deleted}
-        self._deleted -= set(items)
+        dead = self._deleted
+        live = {k: v for k, v in items.items() if k not in dead}
         if live:
             keys = np.array(sorted(live))
-            values = [live[float(k)] for k in keys]
-            target = max(level, self._level_for(keys.size))
-            if target >= len(self._static):
-                self._static.extend([None] * (target - len(self._static) + 1))
-            if self._static[target] is not None:
-                # Cascaded into an occupied level: merge once more.
-                upper = self._static[target]
-                merged: dict[float, object] = {
-                    float(k): v for k, v in zip(upper._keys, upper._values)
-                }
-                merged.update(live)
-                merged = {k: v for k, v in merged.items() if k not in self._deleted}
-                keys = np.array(sorted(merged))
-                values = [merged[float(k)] for k in keys]
-            self._static[target] = PGMIndex(epsilon=self.epsilon).build(keys, values)
+            if level == len(self._static):
+                self._static.append(None)
+            self._static[level] = PGMIndex(epsilon=self.epsilon).build(
+                keys, [live[k] for k in keys.tolist()])
+        if dead:
+            tombs = np.fromiter(dead, dtype=np.float64, count=len(dead))
+            held = np.zeros(tombs.size, dtype=bool)
+            for index in self._static:
+                if index is not None:
+                    held |= index._find_batch(tombs)[1]
+                    index.stats.reset_counters()
+            self._deleted = set(tombs[held].tolist())
         self._refresh_size()
 
     def compact(self) -> None:
@@ -374,7 +385,8 @@ class DynamicPGMIndex(MutableOneDimIndex):
     # -- reads -------------------------------------------------------------
     def lookup(self, key: float) -> object | None:
         """Level-bounded probe sequence: ``_static`` holds one run per
-        geometric level, so at most O(log n) sub-index lookups."""
+        geometric level, so at most O(log n) sub-index lookups.  The
+        newest level holding ``key`` answers, even with a ``None``."""
         self._require_built()
         key = float(key)
         if key in self._deleted:
@@ -386,13 +398,62 @@ class DynamicPGMIndex(MutableOneDimIndex):
             if index is None:
                 continue
             self.stats.nodes_visited += 1
-            result = index.lookup(key)
-            if result is not None:
-                self.stats.comparisons += index.stats.comparisons
-                index.stats.reset_counters()
-                return result
+            pos = index._find(key)
+            comparisons = index.stats.comparisons
             index.stats.reset_counters()
+            if pos >= 0:
+                self.stats.comparisons += comparisons
+                return index._values[pos]
         return None
+
+    def lookup_batch(self, keys) -> np.ndarray:
+        """Base-plus-delta batch lookup, element-wise equal to scalar lookups.
+
+        One probe per row against the delta (tombstones and buffer)
+        answers the rows written since their last merge.  The rest go
+        through :meth:`PGMIndex._locate_batch` once per static level,
+        newest first: each level answers the rows it holds and passes
+        the others on, so a key is read from the newest level holding it.
+        """
+        self._require_built()
+        qs = np.asarray(keys, dtype=np.float64)
+        if qs.ndim != 1:
+            raise ValueError("keys must be one-dimensional")
+        out = np.full(qs.size, None, dtype=object)
+        pending = self._probe_delta(qs, out)
+        for index in self._static:
+            if not pending.size:
+                break
+            if index is None:
+                continue
+            self.stats.nodes_visited += int(pending.size)
+            pos, hit = index._find_batch(qs[pending])
+            self.stats.comparisons += index.stats.comparisons
+            index.stats.reset_counters()
+            out[pending[hit]] = index._values_arr[pos[hit]]
+            pending = pending[~hit]
+        return out
+
+    def _probe_delta(self, qs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Answer the rows the delta decides into ``out``; return the others.
+
+        One hash probe per row, never an index walk: a buffered key reads
+        its buffered value and a tombstoned key ``None`` (the two never
+        share a key).
+        """
+        buffer, dead = self._buffer, self._deleted
+        if not (buffer or dead):
+            return np.arange(qs.size)
+        get = buffer.get
+        pending: list[int] = []
+        for i, k in enumerate(qs.tolist()):
+            value = get(k, _MISS)
+            if value is not _MISS:
+                out[i] = value
+                self.stats.comparisons += 1
+            elif k not in dead:
+                pending.append(i)
+        return np.array(pending, dtype=np.intp)
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
@@ -414,9 +475,8 @@ class DynamicPGMIndex(MutableOneDimIndex):
             self.stats.keys_scanned += 1
             if low <= k <= high:
                 merged[k] = v
-        for k in self._deleted:
-            merged.pop(k, None)
-        return sorted(merged.items())
+        dead = self._deleted
+        return sorted((k, v) for k, v in merged.items() if k not in dead)
 
     def __len__(self) -> int:
         seen: set[float] = set(self._buffer)

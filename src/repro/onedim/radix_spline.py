@@ -88,7 +88,7 @@ class RadixSplineIndex(OneDimIndex):
 
     def _prefix(self, key: float) -> int:
         frac = (key - self._key_min) / self._key_span
-        return int(np.clip(frac, 0.0, 1.0) * ((1 << self.radix_bits) - 1))
+        return int(min(max(frac, 0.0), 1.0) * ((1 << self.radix_bits) - 1))
 
     def _prefix_array(self, keys: np.ndarray) -> np.ndarray:
         frac = (keys - self._key_min) / self._key_span
@@ -122,7 +122,7 @@ class RadixSplineIndex(OneDimIndex):
             else:
                 t = (key - left.key) / (right.key - left.key)
                 predicted = left.position + t * (right.position - left.position)
-        pred_int = int(np.clip(round(predicted), 0, n - 1))
+        pred_int = min(max(round(predicted), 0), n - 1)
         return bounded_binary_search(self._keys, key, pred_int, self._true_error + 1, self.stats)
 
     def lookup(self, key: float) -> object | None:

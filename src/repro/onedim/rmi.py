@@ -13,6 +13,7 @@ follow-up benchmark found dominant.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -154,15 +155,15 @@ class RMIIndex(OneDimIndex):
         n = self._keys.size
         self.stats.model_predictions += 1
         root_pred = self._root_predict(key)
-        leaf_id = int(np.clip(root_pred / n * self.num_models, 0, self.num_models - 1))
+        leaf_id = int(min(max(root_pred / n * self.num_models, 0), self.num_models - 1))
         leaf = self._leaves[leaf_id]
         self.stats.model_predictions += 1
         self.stats.nodes_visited += 2
         raw = leaf.predict(key)
-        if not np.isfinite(raw):
+        if not math.isfinite(raw):
             # +-inf probes (open-ended scans): saturate the prediction.
             raw = 0 if raw < 0 else n - 1
-        predicted = int(np.clip(round(raw), 0, n - 1))
+        predicted = min(max(round(raw), 0), n - 1)
         error = self._leaf_errors[leaf_id]
         pos = bounded_binary_search(self._keys, key, predicted, error, self.stats)
         # Guard against routing misses near leaf boundaries: a key may be

@@ -22,12 +22,19 @@ answers in one ``complete_many``.  No per-request object exists between
 ``submit_window`` and the kernel.
 
 Ordering: each shard queue is strict FIFO, a window's rows keep their
-submission order inside each shard (the ``argsort`` is stable), every
-non-coalescable request (range, kNN, insert, delete) is a run of its
-own that executes scalar, and only *consecutive* runs of the same
-coalescable operation are fused — so per-shard program order is
-preserved: a client that submits ``insert(k)`` then ``lookup(k)`` to
-the same shard observes its own write, batching or not.
+submission order inside each shard (the ``argsort`` is stable), and
+every non-coalescable request (range, kNN, insert, delete) is a run of
+its own.  A drained batch without writes fuses only *consecutive* runs
+of the same coalescable operation.  A batch with writes first answers
+every coalescable read that no *earlier* write in the batch touches —
+such a read commutes with every write before it — as one kernel call
+per op; the conflicting reads, ranges and kNN then keep strict queue
+order around the writes, and each stretch of consecutive writes is
+applied under one shard-lock take
+(:meth:`~repro.serve.sharding.ShardedStore.execute_writes`).  Either
+way per-key program order is preserved: a client that submits
+``insert(k)`` then ``lookup(k)`` to the same shard observes its own
+write, batching or not.
 
 Admission control: queues are bounded, in requests.  A submission that
 finds its shard queue full is answered immediately with
@@ -71,8 +78,11 @@ from repro.serve.stats import ServerStats
 
 __all__ = ["Coalescer", "Window"]
 
-#: Which op codes fuse into batch-kernel calls (indexed by ``Op.code``).
-_FUSABLE = np.array([op in COALESCABLE_OPS for op in OPS_BY_CODE])
+#: Per ``Op.code``: does the op fuse into batch-kernel calls, does it
+#: write (a tuple index is cheaper than hashing an enum member per run).
+_IS_READ = tuple(op in COALESCABLE_OPS for op in OPS_BY_CODE)
+_IS_WRITE = tuple(op in WRITE_OPS for op in OPS_BY_CODE)
+_FUSABLE = np.array(_IS_READ)
 
 #: The slot column of every single-request run (never written to).
 _SLOT0 = np.zeros(1, dtype=np.intp)
@@ -198,6 +208,11 @@ class _Run:
             _Run(self.op, self.column[count:], self.slots[count:],
                  self.sink, self.submitted, self.requests),
         )
+
+    def select(self, rows: np.ndarray) -> "_Run":
+        """The rows picked by ``rows`` (a mask or positions), as a run."""
+        return _Run(self.op, self.column[rows], self.slots[rows],
+                    self.sink, self.submitted, self.requests)
 
     def resolve(self, value: object) -> None:
         """Answer every row with the same ``value`` (typed failures)."""
@@ -462,25 +477,75 @@ class Coalescer:
             return batch
 
     def _dispatch(self, shard: int, batch: list[_Run]) -> None:
-        """Execute a drained batch, fusing consecutive same-op runs."""
+        """Execute a drained batch: commuting reads first when it holds
+        writes, then everything else in queue order, fusing consecutive
+        same-op reads and consecutive writes."""
+        if any(_IS_WRITE[run.op.code] for run in batch):
+            batch = self._hoist_reads(shard, batch)
         i = 0
         n = len(batch)
         while i < n:
             run = batch[i]
             op = run.op
             j = i + 1
-            if op in COALESCABLE_OPS:
+            if _IS_WRITE[op.code]:
+                while j < n and _IS_WRITE[batch[j].op.code]:
+                    j += 1
+                self._run_writes(shard, batch[i:j])
+            elif _IS_READ[op.code]:
                 while j < n and batch[j].op is op:
                     j += 1
-                fused = batch[i:j]
-                rows = sum(len(r.slots) for r in fused)
-                self.stats.record_batch(shard, rows)
-                if rows > 1:
-                    self._run_batch(shard, op, fused)
-                    i = j
-                    continue
-            self._run_scalar(run)
+                self._run_fused(shard, op, batch[i:j])
+            else:
+                self._run_scalar(run)
             i = j
+
+    def _hoist_reads(self, shard: int, batch: list[_Run]) -> list[_Run]:
+        """Answer every coalescable read row that no earlier write in the
+        batch touches, one kernel call per op; return what is left, in
+        queue order.
+
+        Such a read commutes with every write queued before it, so
+        answering it first gives what queue order would.  Key identity
+        is float equality (``-0.0`` is ``0.0``, as in the indexes); a
+        NaN key equals nothing, so a NaN-key read never moves.
+        """
+        written: set[object] = set()
+        hoisted: dict[int, list[_Run]] = {}
+        rest: list[_Run] = []
+        multi_dim = self.store.multi_dim
+        for run in batch:
+            code = run.op.code
+            if _IS_WRITE[code]:
+                key = run.column[0].tolist()
+                written.add(tuple(key) if multi_dim else key)
+            elif _IS_READ[code]:
+                keys = run.column.tolist()
+                if multi_dim:
+                    free = [all(c == c for c in k) and tuple(k) not in written
+                            for k in keys]
+                else:
+                    free = [k == k and k not in written for k in keys]
+                if all(free):
+                    hoisted.setdefault(code, []).append(run)
+                    continue
+                if any(free):
+                    mask = np.array(free)
+                    hoisted.setdefault(code, []).append(run.select(mask))
+                    run = run.select(~mask)
+            rest.append(run)
+        for code, runs in hoisted.items():
+            self._run_fused(shard, OPS_BY_CODE[code], runs)
+        return rest
+
+    def _run_fused(self, shard: int, op: Op, fused: list[_Run]) -> None:
+        """Same-op coalescable runs as one kernel call (scalar if 1 row)."""
+        rows = sum(len(r.slots) for r in fused)
+        self.stats.record_batch(shard, rows)
+        if rows > 1:
+            self._run_batch(shard, op, fused)
+        else:
+            self._run_scalar(fused[0])
 
     def _run_batch(self, shard: int, op: Op, fused: list[_Run]) -> None:
         """One kernel call over the fused runs' concatenated columns."""
@@ -518,15 +583,45 @@ class Coalescer:
             start = stop
 
     def _run_scalar(self, run: _Run) -> None:
-        """A run of length 1 through the scalar store path."""
+        """A read run of length 1 through the scalar store path."""
         try:
             value = self.store.execute(run.requests[run.slots[0]])
         except Exception as exc:
             run.sink.fail_many(run.slots, exc)
             return
-        self.stats.record_done(time.perf_counter() - run.submitted,
-                               write=run.op in WRITE_OPS)
+        self.stats.record_done(time.perf_counter() - run.submitted)
         run.resolve(value)
+
+    def _run_writes(self, shard: int, runs: list[_Run]) -> None:
+        """A stretch of write runs (one row each) under one shard-lock take.
+
+        A row that raises fails only its own request; the rest of the
+        stretch still applies and answers, one ``complete_many`` per sink.
+        """
+        results: list[object]
+        try:
+            results = self.store.execute_writes(
+                shard, [run.requests[run.slots[0]] for run in runs])
+        except Exception as exc:
+            results = [exc] * len(runs)
+        now = time.perf_counter()
+        latencies: list[float] = []
+        failed: list[tuple[_Run, Exception]] = []
+        by_sink: dict["Window | _Futures", tuple[list[int], list[object]]] = {}
+        for run, result in zip(runs, results):
+            if isinstance(result, Exception):
+                failed.append((run, result))
+                continue
+            latencies.append(now - run.submitted)
+            slots, values = by_sink.setdefault(run.sink, ([], []))
+            slots.append(run.slots[0])
+            values.append(result)
+        if latencies:
+            self.stats.record_done_many(latencies, writes=len(latencies))
+        for run, exc in failed:
+            run.sink.fail_many(run.slots, exc)
+        for sink, (slots, values) in by_sink.items():
+            sink.complete_many(np.array(slots, dtype=np.intp), np.array(values, dtype=object))
 
     # -- introspection -----------------------------------------------------
     def queue_depths(self) -> list[int]:

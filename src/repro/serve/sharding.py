@@ -577,6 +577,50 @@ class ShardedStore:
             return self.delete(request.point if self.multi_dim else request.key)
         raise ValueError(f"unknown op {op!r}")
 
+    def execute_writes(self, shard: int, requests: Sequence[Request]) -> list[object]:
+        """Apply a stretch of writes queued on ``shard``, in order, under
+        one lock take and one generation bump.
+
+        Returns one entry per request: what the scalar path returns
+        (``None`` for an insert, the removed flag for a delete), or the
+        exception that row raised.  A failing row fails alone: it
+        neither stops the stretch nor escapes to the caller.  Routing is
+        re-validated under the lock with one :meth:`_route_column`; rows
+        a rebalance moved off ``shard`` run afterwards through the
+        routed scalar path, in order (a key's rows always move
+        together, so per-key order holds).
+        """
+        self._require_built()
+        column = np.asarray(
+            [r.point if self.multi_dim else r.key for r in requests], dtype=np.float64)
+        results: list[object] = [None] * len(requests)
+        with self._locks[shard]:
+            mine = self._route_column(column) == shard
+            index = self.shards[shard]
+            rows = np.flatnonzero(mine).tolist()
+            for i in rows:
+                results[i] = self._apply_write(index, requests[i])
+            if rows:
+                self.generations[shard] += 1
+        for i in np.flatnonzero(~mine).tolist():
+            try:
+                results[i] = self.execute(requests[i])
+            except Exception as exc:
+                results[i] = exc
+        return results
+
+    def _apply_write(self, index: object, request: Request) -> object:
+        """One write on a locked shard index; an exception is returned."""
+        try:
+            self._require_mutable(request.op.value)
+            target = request.point if self.multi_dim else float(request.key)  # type: ignore[arg-type]
+            if request.op is Op.INSERT:
+                index.insert(target, request.value)  # type: ignore[attr-defined]
+                return None
+            return bool(index.delete(target))  # type: ignore[attr-defined]
+        except Exception as exc:
+            return exc
+
     @staticmethod
     def request_column(op: Op, requests: Sequence[Request]) -> np.ndarray:
         """Float64 key (or point) column of one coalescable same-op run."""

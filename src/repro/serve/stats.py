@@ -168,11 +168,11 @@ class ServerStats:
             self.batched_requests += size
             self.per_shard_batches[shard] += 1
 
-    def record_done(self, seconds: float, write: bool = False) -> None:
+    def record_done(self, seconds: float) -> None:
+        """One read answered after ``seconds`` (writes are recorded in
+        stretches through :meth:`record_done_many`)."""
         with self._lock:
             self.responses += 1
-            if write:
-                self.writes += 1
             self.latency.record_n(seconds, 1)
 
     def record_done_many(self, latencies: list[float], writes: int = 0,

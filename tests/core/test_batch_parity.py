@@ -92,6 +92,55 @@ class TestOneDimBatchParity:
             index.lookup_batch(np.ones((3, 3)))
 
 
+def _mutated_dynamic_pgm():
+    """A dynamic PGM whose every layer holds keys: a 4-key buffer makes
+    merges cascade through several levels, and the writes overwrite,
+    delete, re-insert and store ``None`` values."""
+    from repro.onedim import DynamicPGMIndex
+
+    rng = np.random.default_rng(11)
+    index = DynamicPGMIndex(epsilon=4, buffer_capacity=4).build(KEYS_1D)
+    fresh = np.round(rng.uniform(-50.0, 1050.0, 60), 1)
+    pool = np.concatenate([KEYS_1D[::7], fresh, [0.0, -0.0]])
+    written = []
+    for step in range(400):
+        key = float(rng.choice(pool))
+        if rng.random() < 0.55:
+            index.insert(key, None if step % 9 == 0 else f"v{step}")
+        else:
+            index.delete(key)
+        written.append(key)
+    index.insert(1234.5, "buffered")        # the last merge may have emptied the buffer
+    return index, np.array([*written, 1234.5])
+
+
+class TestMutatedDynamicPGMParity:
+    """The base-plus-delta kernel over merged levels, buffer and tombstones."""
+
+    def test_every_layer_is_populated(self):
+        index, _ = _mutated_dynamic_pgm()
+        assert sum(level is not None for level in index._static) >= 2
+        assert index._buffer and index._deleted
+
+    def test_lookup_and_contains_batch_match_scalar_loop(self):
+        index, written = _mutated_dynamic_pgm()
+        queries = np.concatenate([QUERIES_1D, written, [np.inf, -np.inf, -0.0]])
+        batch = index.lookup_batch(queries)
+        scalar = [index.lookup(float(q)) for q in queries]
+        assert batch.dtype == object
+        assert batch.tolist() == scalar
+        contains = index.contains_batch(queries)
+        assert contains.tolist() == [index.contains(float(q)) for q in queries]
+
+    def test_range_agrees_with_lookups(self):
+        index, written = _mutated_dynamic_pgm()
+        items = dict(index.range_query(-np.inf, np.inf))
+        assert len(items) == len(index)
+        probe = np.unique(np.concatenate([KEYS_1D, written]))
+        for key, value in zip(probe.tolist(), index.lookup_batch(probe).tolist()):
+            assert items.get(key) == value
+
+
 @pytest.mark.parametrize("name", sorted(MULTI_DIM_FACTORIES))
 class TestMultiDimBatchParity:
     def test_point_query_batch_matches_scalar_loop(self, name):
@@ -147,7 +196,8 @@ class TestMultiDimBatchParity:
 class TestVectorizedOverridesStayVectorized:
     """Guard: the hot indexes must not fall back to the scalar loop."""
 
-    @pytest.mark.parametrize("name", ["binary-search", "rmi", "pgm", "radix-spline"])
+    @pytest.mark.parametrize("name", ["binary-search", "rmi", "pgm", "radix-spline",
+                                      "dynamic-pgm"])
     def test_override_defined_on_class(self, name):
         from repro.core.interfaces import OneDimIndex
 

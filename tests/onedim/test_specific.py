@@ -106,6 +106,33 @@ class TestPGM:
         assert index.lookup(2.0) is None
         assert len(index) == 2
 
+    def test_dynamic_delete_survives_a_merge_over_an_older_copy(self):
+        """A tombstone must outlive a merge while an older level still
+        holds its key, or the deleted key's old value comes back."""
+        index = DynamicPGMIndex(buffer_capacity=4).build(np.arange(64.0))
+        index.insert(5.0, "new")
+        for k in (100.0, 101.0, 102.0):
+            index.insert(k)                       # buffer full: merge
+        assert index.delete(5.0)
+        assert index.lookup(5.0) is None
+        for k in (200.0, 201.0, 202.0, 203.0):
+            index.insert(k)                       # merges level 0 again
+        assert index.lookup(5.0) is None
+        assert index.lookup_batch([5.0])[0] is None
+        assert 5.0 not in dict(index.range_query(4.0, 6.0))
+        assert len(index) == 70
+
+    def test_dynamic_newest_level_answers_even_with_none(self):
+        """The newest copy of a key decides, including a None value."""
+        index = DynamicPGMIndex(buffer_capacity=4).build(np.arange(64.0))
+        index.insert(3.0, None)
+        assert index.lookup(3.0) is None
+        for k in (100.0, 101.0, 102.0):
+            index.insert(k, k)                    # merge the None down a level
+        assert index.lookup(3.0) is None
+        assert index.lookup_batch([3.0, 2.0]).tolist() == [None, 2]
+        assert index.range_query(3.0, 3.0) == [(3.0, None)]
+
 
 class TestALEX:
     def test_gapped_arrays_have_gaps(self, uniform_keys):

@@ -491,3 +491,159 @@ class TestNoFateSharing:
         coalescer.flush()
         window.wait()
         assert stats.kernel_faults == 0 and stats.snapshot()["kernel_faults"] == 0
+
+
+def _spy_write_stretches(store):
+    """Record the number of requests in every ``execute_writes`` call."""
+    sizes = []
+    execute_writes = store.execute_writes
+    store.execute_writes = lambda shard, requests: (sizes.append(len(requests)),
+                                                    execute_writes(shard, requests))[1]
+    return sizes
+
+
+class TestCommutingReads:
+    """A batch holding writes answers its commuting reads first, in one
+    kernel call per op; conflicting reads keep their place."""
+
+    def test_non_conflicting_reads_share_one_kernel_call(self):
+        keys, store, _, coalescer = _fixture(num_shards=1)
+        direct = SortedArrayIndex().build(keys)
+        a, j, j2, b = (float(k) for k in keys[:4])
+        new = 123.456
+        sizes = _kernel_sizes(store)
+        window = coalescer.submit_window([
+            Request(op=Op.LOOKUP, key=a),
+            Request(op=Op.INSERT, key=new, value="new"),
+            Request(op=Op.LOOKUP, key=j),
+            Request(op=Op.LOOKUP, key=new),       # conflicts: sees the insert
+            Request(op=Op.LOOKUP, key=j2),
+            Request(op=Op.DELETE, key=j),
+            Request(op=Op.LOOKUP, key=j),         # conflicts: sees the delete
+            Request(op=Op.LOOKUP, key=b),
+        ])
+        coalescer.flush()
+        assert sizes == [4]                       # a, j, j2, b
+        assert window.wait() == [direct.lookup(a), None, direct.lookup(j), "new",
+                                 direct.lookup(j2), True, None, direct.lookup(b)]
+
+    def test_negative_zero_is_the_same_key_as_zero(self):
+        keys, store, _, coalescer = _fixture(num_shards=1)
+        a, b = (float(k) for k in keys[:2])
+        sizes = _kernel_sizes(store)
+        window = coalescer.submit_window([
+            Request(op=Op.INSERT, key=0.0, value="zero"),
+            Request(op=Op.LOOKUP, key=-0.0),
+            Request(op=Op.LOOKUP, key=a),
+            Request(op=Op.LOOKUP, key=b),
+        ])
+        coalescer.flush()
+        assert sizes == [2]
+        assert window.wait()[:2] == [None, "zero"]
+
+    def test_nan_key_read_keeps_its_place(self):
+        keys, store, _, coalescer = _fixture(num_shards=1)
+        a, b = (float(k) for k in keys[:2])
+        sizes = _kernel_sizes(store)
+        executed = []
+        execute = store.execute
+        store.execute = lambda request: (executed.append(request), execute(request))[1]
+        nan_read = Request(op=Op.LOOKUP, key=float("nan"))
+        window = coalescer.submit_window([
+            Request(op=Op.INSERT, key=123.456, value="w"),
+            Request(op=Op.LOOKUP, key=a),
+            nan_read,
+            Request(op=Op.LOOKUP, key=b),
+        ])
+        coalescer.flush()
+        assert sizes == [2]                       # a and b only
+        assert executed == [nan_read]             # answered scalar, after the write
+        assert window.wait()[2] is None
+
+    def test_ranges_stay_in_queue_order(self):
+        keys, _, _, coalescer = _fixture(num_shards=1)
+        window = coalescer.submit_window([
+            Request(op=Op.RANGE_1D, low=-3.0, high=-1.0),
+            Request(op=Op.INSERT, key=-2.0, value="w"),
+            Request(op=Op.RANGE_1D, low=-3.0, high=-1.0),
+        ])
+        coalescer.flush()
+        assert window.wait() == [[], None, [(-2.0, "w")]]
+
+    def test_write_free_batches_keep_positional_fusion(self):
+        keys, store, _, coalescer = _fixture(num_shards=1)
+        sizes = _kernel_sizes(store)
+        window = coalescer.submit_window(
+            _lookups(keys[:3]) + [Request(op=Op.RANGE_1D, low=0.0, high=-1.0)]
+            + _lookups(keys[3:8]))
+        coalescer.flush()
+        assert sizes == [3, 5]
+        assert window.wait()[3] == []
+
+
+class _FailingInsertIndex(SortedArrayIndex):
+    """An index whose insert raises on the sentinel key."""
+
+    def insert(self, key, value=None):
+        if key == FAULT_KEY:
+            raise RuntimeError("insert refused the sentinel key")
+        super().insert(key, value)
+
+
+class TestWriteStretches:
+    def test_consecutive_writes_run_under_one_lock_take(self):
+        keys, store, stats, coalescer = _fixture(num_shards=1)
+        stretches = _spy_write_stretches(store)
+        generation = store.generations[0]
+        window = coalescer.submit_window([
+            Request(op=Op.INSERT, key=-1.0, value="a"),
+            Request(op=Op.INSERT, key=-2.0, value="b"),
+            Request(op=Op.LOOKUP, key=float(keys[0])),
+            Request(op=Op.DELETE, key=-1.0),
+            Request(op=Op.INSERT, key=-3.0, value="c"),
+        ])
+        coalescer.flush()
+        assert stretches == [4]                   # the hoisted lookup no longer splits them
+        assert store.generations[0] == generation + 1
+        assert window.wait()[3:] == [True, None]
+        assert stats.writes == 4
+
+    def test_a_single_write_uses_the_same_path(self):
+        _, store, _, coalescer = _fixture(num_shards=1)
+        stretches = _spy_write_stretches(store)
+        fut = coalescer.submit(Request(op=Op.INSERT, key=-1.0, value="a"))
+        coalescer.flush()
+        assert fut.result().value is None
+        assert stretches == [1]
+
+    def test_a_raising_write_fails_only_its_row_and_the_worker_lives(self):
+        keys = np.arange(0.0, 100.0)
+        with IndexServer(_FailingInsertIndex, num_shards=1).build(keys) as server:
+            futures = server.submit_many([
+                Request(op=Op.INSERT, key=-1.0, value="a"),
+                Request(op=Op.INSERT, key=FAULT_KEY, value="bad"),
+                Request(op=Op.INSERT, key=-2.0, value="b"),
+                Request(op=Op.LOOKUP, key=-2.0),
+            ])
+            with pytest.raises(RuntimeError, match="sentinel"):
+                futures[1].result(timeout=10.0)
+            assert [futures[i].result(timeout=10.0).value for i in (0, 2, 3)] == [
+                None, None, "b"]
+            assert server.lookup(-1.0) == "a"     # the worker survived
+            assert server.stats()["responses"] >= 4
+
+    def test_writes_on_an_immutable_factory_fail_per_row(self):
+        from repro.onedim import PGMIndex
+
+        keys = np.arange(0.0, 100.0)
+        with IndexServer(PGMIndex, num_shards=2).build(keys) as server:
+            futures = server.submit_many([
+                Request(op=Op.INSERT, key=1.5, value="a"),
+                Request(op=Op.LOOKUP, key=3.0),
+                Request(op=Op.DELETE, key=4.0),
+            ])
+            for i in (0, 2):
+                with pytest.raises(TypeError, match="immutable"):
+                    futures[i].result(timeout=10.0)
+            assert futures[1].result(timeout=10.0).value == 3
+            assert server.lookup(5.0) == 5

@@ -64,7 +64,7 @@ class TestServerStatsStress:
                 shard = (tid + i) % SHARDS
                 stats.record_submit(shard, depth=(tid * OPS + i) % 17)
                 # Dyadic-rational latencies: exact float sum in any order.
-                stats.record_done((i % 16) * 2.0**-10, write=(i % 5 == 0))
+                stats.record_done_many([(i % 16) * 2.0**-10], writes=int(i % 5 == 0))
                 if i % 4 == 0:
                     stats.record_shed()
                 stats.record_cache(hit=(i % 2 == 0))

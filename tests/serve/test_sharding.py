@@ -226,3 +226,31 @@ class TestExecuteAndStats:
         assert store.delete(123.456) is True
         assert sum(store.generations) == sum(before) + 2
         assert store.lookup(123.456) is None
+
+    def test_execute_writes_returns_results_and_exceptions_per_row(self):
+        from repro.onedim import PGMIndex
+
+        keys = _keys(300, seed=14)
+        store = ShardedStore(SortedArrayIndex, num_shards=2).build(keys)
+        shard = store.route_key(123.456)
+        before = list(store.generations)
+        results = store.execute_writes(shard, [
+            Request(op=Op.INSERT, key=123.456, value="x"),
+            Request(op=Op.DELETE, key=123.456),
+            Request(op=Op.DELETE, key=123.456),
+        ])
+        assert results == [None, True, False]
+        assert store.generations[shard] == before[shard] + 1
+        frozen = ShardedStore(PGMIndex, num_shards=2).build(keys)
+        (error,) = frozen.execute_writes(0, [Request(op=Op.INSERT, key=float(keys[0]))])
+        assert isinstance(error, TypeError) and "immutable" in str(error)
+
+    def test_execute_writes_reroutes_rows_a_rebalance_moved(self):
+        keys = np.arange(0.0, 100.0)
+        store = ShardedStore(SortedArrayIndex, num_shards=2).build(keys)
+        assert store.route_key(10.5) == 0
+        store.rebalance(bounds=[5.0])             # 10.5 now belongs to shard 1
+        before = list(store.generations)
+        assert store.execute_writes(0, [Request(op=Op.INSERT, key=10.5, value="m")]) == [None]
+        assert store.generations == [before[0], before[1] + 1]
+        assert store.shards[1].lookup(10.5) == "m"

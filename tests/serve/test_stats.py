@@ -91,7 +91,7 @@ class TestServerStats:
         stats.record_submit(0, depth=3)
         stats.record_submit(1, depth=1)
         stats.record_done(1e-5)
-        stats.record_done(2e-5, write=True)
+        stats.record_done_many([2e-5], writes=1)
         snap = stats.snapshot()
         assert snap["requests"] == 2
         assert snap["responses"] == 2

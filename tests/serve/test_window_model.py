@@ -16,6 +16,8 @@ on purpose, to make run splitting the common case.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -72,14 +74,21 @@ def _expect_1d(oracle: dict, op: Op, a: float, b: object, ranges_anywhere: bool)
             sorted((k, v) for k, v in oracle.items() if low <= k <= high))
 
 
-@pytest.fixture(params=[("thread", 1), ("thread", 3), ("process", 2)],
-                ids=["thread-1shard", "thread-3shards", "process-2shards"])
+@pytest.fixture(params=[("thread", 1, None), ("thread", 3, None), ("process", 2, None),
+                        ("thread", 3, 4), ("process", 2, 4)],
+                ids=["thread-1shard", "thread-3shards", "process-2shards",
+                     "thread-3shards-merging", "process-2shards-merging"])
 def one_dim(request):
-    backend, shards = request.param
+    """A dynamic-PGM server; the ``merging`` variants buffer 4 inserts,
+    so LSM merges (and tombstones outliving them) happen under load."""
+    backend, shards, buffer_capacity = request.param
+    factory = MUTABLE_ONE_DIM_FACTORIES["dynamic-pgm"]
+    if buffer_capacity is not None:
+        factory = functools.partial(factory, buffer_capacity=buffer_capacity)
     built = np.concatenate([np.arange(0.0, LATTICE, 2.0),
                             np.arange(READ_ONLY[0], READ_ONLY[1])])
     oracle = {float(k): rank for rank, k in enumerate(built)}
-    server = IndexServer(MUTABLE_ONE_DIM_FACTORIES["dynamic-pgm"], num_shards=shards,
+    server = IndexServer(factory, num_shards=shards,
                          max_batch=4, backend=backend).build(built)
     yield server, oracle, shards == 1
     server.close()

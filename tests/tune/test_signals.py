@@ -25,7 +25,7 @@ class TestStatsWindowExactness:
             stats.record_submit(0, depth=1)
             stats.record_done(0.001)
         stats.record_submit(1, depth=1)
-        stats.record_done(0.002, write=True)
+        stats.record_done_many([0.002], writes=1)
         first = window.advance()
         assert first.requests == 6
         assert first.responses == 6
@@ -65,7 +65,7 @@ class TestStatsWindowExactness:
                 for i in range(per_thread):
                     shard = (tid + i) % 4
                     stats.record_submit(shard, depth=1)
-                    stats.record_done(0.0001, write=(i % 10 == 0))
+                    stats.record_done_many([0.0001], writes=int(i % 10 == 0))
                 barrier.wait()
 
         workers = [threading.Thread(target=recorder, args=(t,))
