@@ -13,6 +13,8 @@ construction at run creation and in-run search.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.baselines.lsm import LSMTreeIndex, SortedRun
@@ -70,7 +72,11 @@ class BourbonLSM(LSMTreeIndex):
         seg_idx = int(np.searchsorted(model.first_keys, key, side="right")) - 1
         seg_idx = min(max(seg_idx, 0), len(model.segments) - 1)
         seg = model.segments[seg_idx]
-        predicted = int(np.clip(round(seg.predict(key)), seg.first, seg.last - 1))
+        raw = seg.predict(key)
+        if math.isinf(key):
+            # +-inf probes (open-ended scans): saturate the prediction.
+            raw = seg.first if key < 0 else seg.last - 1
+        predicted = int(np.clip(round(raw), seg.first, seg.last - 1))
         return bounded_binary_search(run.keys, key, predicted, model.epsilon + 1, self.stats)
 
     def model_size_bytes(self) -> int:

@@ -13,6 +13,7 @@ buffer* index.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Sequence
 
 import numpy as np
@@ -104,6 +105,9 @@ class FITingTreeIndex(MutableOneDimIndex):
     def _local_locate(self, seg: _FSegment, key: float) -> int:
         self.stats.model_predictions += 1
         raw = seg.slope * (key - seg.first_key) + seg.anchor_pos
+        if math.isinf(key):
+            # +-inf probes (open-ended scans): saturate the prediction.
+            raw = 0 if key < 0 else seg.keys.size - 1
         predicted = int(np.clip(round(raw), 0, max(seg.keys.size - 1, 0)))
         return bounded_binary_search(seg.keys, key, predicted, self.epsilon + 1, self.stats)
 

@@ -10,6 +10,7 @@ lanes, with a linear-segment model standing in for the tiny NN).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -103,7 +104,11 @@ class LearnedSkipList(SkipListIndex):
         seg_idx = int(np.searchsorted(self._guide_seg_keys, key, side="right")) - 1
         seg_idx = min(max(seg_idx, 0), len(self._guide_segments) - 1)
         seg = self._guide_segments[seg_idx]
-        predicted = int(np.clip(round(seg.predict(key)), seg.first, max(seg.first, seg.last - 1)))
+        raw = seg.predict(key)
+        if math.isinf(key):
+            # +-inf probes (open-ended scans): saturate the prediction.
+            raw = seg.first if key < 0 else seg.last - 1
+        predicted = int(np.clip(round(raw), seg.first, max(seg.first, seg.last - 1)))
         pos = bounded_binary_search(self._guide_keys, key, predicted, self._guide_error + 1, self.stats)
         # Start walking the live chain one guide entry early: inserts since
         # the last rebuild may sit between guide entries.

@@ -17,6 +17,7 @@ over the transformed keys is a PGM; the delta buffer makes it mutable
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Sequence
 
 import numpy as np
@@ -120,7 +121,11 @@ class NFLIndex(MutableOneDimIndex):
         seg_idx = int(np.searchsorted(self._segment_keys, t, side="right")) - 1
         seg_idx = min(max(seg_idx, 0), len(self._segments) - 1)
         seg = self._segments[seg_idx]
-        predicted = int(np.clip(round(seg.predict(t)), seg.first, seg.last - 1))
+        raw = seg.predict(t)
+        if math.isinf(t):
+            # +-inf probes (open-ended scans): saturate the prediction.
+            raw = seg.first if t < 0 else seg.last - 1
+        predicted = int(np.clip(round(raw), seg.first, seg.last - 1))
         return bounded_binary_search(self._transformed, t, predicted,
                                      self.epsilon + 1, self.stats)
 

@@ -12,6 +12,7 @@ performs in the background).
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Sequence
 
 import numpy as np
@@ -108,7 +109,11 @@ class XIndexStyleIndex(MutableOneDimIndex):
         self.stats.nodes_visited += 1
         if group.keys.size:
             self.stats.model_predictions += 1
-            predicted = int(np.clip(round(group.model.predict(key)), 0, group.keys.size - 1))
+            raw = group.model.predict(key)
+            if math.isinf(key):
+                # +-inf probes (open-ended scans): saturate the prediction.
+                raw = 0 if key < 0 else group.keys.size - 1
+            predicted = int(np.clip(round(raw), 0, group.keys.size - 1))
             pos = bounded_binary_search(group.keys, key, predicted, group.error + 1, self.stats)
             if pos < group.keys.size and group.keys[pos] == key:
                 self.stats.keys_scanned += 1
@@ -158,7 +163,11 @@ class XIndexStyleIndex(MutableOneDimIndex):
             return
         # Replace in the run if present.
         if group.keys.size:
-            predicted = int(np.clip(round(group.model.predict(key)), 0, group.keys.size - 1))
+            raw = group.model.predict(key)
+            if math.isinf(key):
+                # +-inf probes (open-ended scans): saturate the prediction.
+                raw = 0 if key < 0 else group.keys.size - 1
+            predicted = int(np.clip(round(raw), 0, group.keys.size - 1))
             pos = bounded_binary_search(group.keys, key, predicted, group.error + 1, self.stats)
             if pos < group.keys.size and group.keys[pos] == key:
                 group.values[pos] = value
@@ -217,7 +226,11 @@ class XIndexStyleIndex(MutableOneDimIndex):
             self._size -= 1
             return True
         if group.keys.size:
-            predicted = int(np.clip(round(group.model.predict(key)), 0, group.keys.size - 1))
+            raw = group.model.predict(key)
+            if math.isinf(key):
+                # +-inf probes (open-ended scans): saturate the prediction.
+                raw = 0 if key < 0 else group.keys.size - 1
+            predicted = int(np.clip(round(raw), 0, group.keys.size - 1))
             pos = bounded_binary_search(group.keys, key, predicted, group.error + 1, self.stats)
             if pos < group.keys.size and group.keys[pos] == key:
                 group.keys = np.delete(group.keys, pos)

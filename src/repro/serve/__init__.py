@@ -19,7 +19,7 @@ GIL (``IndexServer(..., backend="process")``).
 """
 
 from repro.serve.cache import ResultCache
-from repro.serve.coalescer import Coalescer
+from repro.serve.coalescer import Coalescer, Ticket
 from repro.serve.mp import ProcessShardExecutor, WorkerDied
 from repro.serve.requests import (
     COALESCABLE_OPS,
@@ -48,6 +48,7 @@ __all__ = [
     "WRITE_OPS",
     "ShardedStore",
     "Coalescer",
+    "Ticket",
     "ProcessShardExecutor",
     "WorkerDied",
     "ShardManifest",

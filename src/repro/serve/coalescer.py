@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import threading
 import time
+from _thread import LockType, allocate_lock
 from collections import deque
-from concurrent.futures import Future
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,7 +76,7 @@ from repro.serve.requests import (
 from repro.serve.sharding import ShardedStore
 from repro.serve.stats import ServerStats
 
-__all__ = ["Coalescer", "Window"]
+__all__ = ["Coalescer", "Ticket", "Window"]
 
 #: Per ``Op.code``: does the op fuse into batch-kernel calls, does it
 #: write (a tuple index is cheaper than hashing an enum member per run).
@@ -96,13 +96,78 @@ def _filled(count: int, value: object) -> np.ndarray:
     return out
 
 
+class Ticket:
+    """One request's completion: ``result(timeout=None)`` and ``done()``.
+
+    The scalar path's stand-in for the standard library's future, which
+    builds a condition variable (an ``RLock`` plus a waiter list) per
+    request and fills the cyclic GC's young generation with them.  A
+    pending ticket holds one raw lock, the *latch*, acquired when the
+    ticket is made and released exactly once, by the completing worker;
+    ``result`` blocks by acquiring the latch and hands it straight back
+    (so every waiter wakes, one after the other) without taking any
+    other lock in between.  The latch is a one-shot signal, not a mutex
+    around shared state, so it is not a lockorder-tracked lock: its
+    acquire at creation and its release at completion never block, and
+    the one blocking acquire (in ``result``) is released before
+    anything else runs, so it can never close a lock-order cycle.  A
+    ticket built with its response (a cache hit, a shed) holds no lock
+    at all.
+
+    Lock-free: the completer stores the outcome, then clears the latch
+    reference, then releases it; under the GIL a reader that sees no
+    latch (``done()``) therefore sees the outcome.
+
+    ``result`` returns the :class:`Response` (or a typed failure such
+    as :class:`Overloaded` / :class:`WorkerError`, passed through as a
+    value), re-raises a request's exception on every call, and raises
+    the builtin :class:`TimeoutError` when ``timeout`` seconds pass
+    first.
+    """
+
+    __slots__ = ("_latch", "_response", "_error")
+
+    def __init__(self, response: Response | None = None) -> None:
+        self._response = response
+        self._error: BaseException | None = None
+        if response is None:
+            latch = allocate_lock()
+            latch.acquire()
+            self._latch: LockType | None = latch
+        else:
+            self._latch = None
+
+    def done(self) -> bool:
+        """True once the ticket holds its response or exception."""
+        return self._latch is None
+
+    def result(self, timeout: float | None = None) -> Response:
+        """Block until completion; the response, or re-raise the failure."""
+        latch = self._latch
+        if latch is not None:
+            if not latch.acquire(True, -1 if timeout is None else max(timeout, 0.0)):
+                raise TimeoutError(f"ticket not done after {timeout} s")
+            latch.release()
+        if self._error is not None:
+            raise self._error
+        return self._response  # type: ignore[return-value]
+
+    def _finish(self, response: Response | None, error: BaseException | None) -> None:
+        """Store the outcome, then open the latch (once per ticket)."""
+        latch = self._latch
+        self._response = response
+        self._error = error
+        self._latch = None
+        latch.release()  # type: ignore[union-attr]
+
+
 class Window:
     """Completion sink for one pipelined submission window.
 
     Workers store each run's answers into its slots with one
     fancy-index assignment and one counted decrement; the last
-    completion sets one event — versus a full ``Future`` (own condition
-    variable, ``Response`` wrapper) per request on the scalar path.
+    completion sets one event — versus a :class:`Ticket` (own latch,
+    ``Response`` wrapper) per request on the scalar path.
     ``wait`` returns the slots as a plain list; shed requests hold
     :class:`Overloaded` instances, failures re-raise the first recorded
     exception.
@@ -143,37 +208,38 @@ class Window:
         return self.results.tolist()
 
 
-class _Futures:
-    """Completion sink resolving one ``Future`` per slot.
+class _Tickets:
+    """Completion sink resolving one :class:`Ticket` per slot.
 
-    Results are wrapped in :class:`Response`; ``callback`` runs in the
-    worker thread with each raw value before its future resolves (the
-    server uses it to fill the result cache).
+    Results are wrapped in :class:`Response`; typed failure responses
+    (:class:`Overloaded`, :class:`WorkerError`) pass through unwrapped
+    so clients can branch on them.  ``callback`` runs in the worker
+    thread with each (immutable) response before its ticket resolves:
+    the server caches that very object, so a hit allocates no response.
     """
 
-    __slots__ = ("futures", "callback")
+    __slots__ = ("tickets", "callback")
 
-    def __init__(self, futures: list[Future],
-                 callback: Callable[[object], None] | None = None) -> None:
-        self.futures = futures
+    def __init__(self, tickets: list[Ticket],
+                 callback: Callable[[Response], None] | None = None) -> None:
+        self.tickets = tickets
         self.callback = callback
 
     def complete_many(self, slots: np.ndarray, values: np.ndarray) -> None:
-        futures = self.futures
+        tickets = self.tickets
         callback = self.callback
         for slot, value in zip(slots.tolist(), values.tolist()):
             if isinstance(value, Response) and not value.ok:
-                # Typed failure responses (Overloaded, WorkerError) pass
-                # through unwrapped so clients can branch on them.
-                futures[slot].set_result(value)
+                tickets[slot]._finish(value, None)
             else:
+                response = Response(value=value)
                 if callback is not None:
-                    callback(value)
-                futures[slot].set_result(Response(value=value))
+                    callback(response)
+                tickets[slot]._finish(response, None)
 
     def fail_many(self, slots: np.ndarray, error: BaseException) -> None:
         for slot in slots.tolist():
-            self.futures[slot].set_exception(error)
+            self.tickets[slot]._finish(None, error)
 
 
 class _Run:
@@ -191,7 +257,7 @@ class _Run:
     __slots__ = ("op", "column", "slots", "sink", "submitted", "requests")
 
     def __init__(self, op: Op, column: np.ndarray, slots: np.ndarray,
-                 sink: "Window | _Futures", submitted: float,
+                 sink: "Window | _Tickets", submitted: float,
                  requests: Sequence[Request]) -> None:
         self.op = op
         self.column = column
@@ -263,14 +329,14 @@ class Coalescer:
 
     # -- client side -------------------------------------------------------
     def submit(self, request: Request,
-               callback: Callable[[object], None] | None = None,
-               home: int | None = None) -> Future:
+               callback: Callable[[Response], None] | None = None,
+               home: int | None = None) -> Ticket:
         """Enqueue ``request`` on its home shard; resolve with a Response.
 
-        Returns a future that resolves to :class:`Response` (or
+        Returns a :class:`Ticket` that resolves to :class:`Response` (or
         :class:`Overloaded` if the shard queue was full — already
         resolved in that case, no waiting).  ``callback`` runs in the
-        worker thread with the raw result value before the future
+        worker thread with the :class:`Response` before the ticket
         resolves; the server uses it to fill the result cache.  ``home``
         is the request's home shard when the caller has already routed
         it (the server does, to build the cache key).
@@ -278,15 +344,15 @@ class Coalescer:
         if home is None:
             shards = self.store.route(request)
             home = shards[0] if shards else 0
-        fut: Future = Future()
+        ticket = Ticket()
         column = np.array(
             [request.point if self.store.multi_dim else request.key], dtype=np.float64)
-        self._admit(home, [_Run(request.op, column, _SLOT0, _Futures([fut], callback),
+        self._admit(home, [_Run(request.op, column, _SLOT0, _Tickets([ticket], callback),
                                 time.perf_counter(), (request,))], 1)
-        return fut
+        return ticket
 
-    def submit_many(self, requests: Sequence[Request]) -> list[Future]:
-        """Enqueue a window of requests, one ``Future`` each.
+    def submit_many(self, requests: Sequence[Request]) -> list[Ticket]:
+        """Enqueue a window of requests, one :class:`Ticket` each.
 
         Admission is the same columnar path as :meth:`submit_window`;
         only the completion sink differs.  Both E19 arms use this path,
@@ -294,15 +360,15 @@ class Coalescer:
         that find their shard queue full resolve immediately to
         :class:`Overloaded`.
         """
-        futures: list[Future] = [Future() for _ in requests]
-        self._enqueue(requests, _Futures(futures))
-        return futures
+        tickets = [Ticket() for _ in requests]
+        self._enqueue(requests, _Tickets(tickets))
+        return tickets
 
     def submit_window(self, requests: Sequence[Request]) -> Window:
         """Enqueue a window completing into one shared :class:`Window`.
 
         The cheapest submission path: slot-array completion instead of a
-        ``Future`` per request.  ``wait()`` on the returned window gives
+        :class:`Ticket` per request.  ``wait()`` on the returned window gives
         the raw result values in submission order (shed requests hold
         :class:`Overloaded`).
         """
@@ -310,7 +376,7 @@ class Coalescer:
         self._enqueue(requests, window)
         return window
 
-    def _enqueue(self, requests: Sequence[Request], sink: "Window | _Futures") -> None:
+    def _enqueue(self, requests: Sequence[Request], sink: "Window | _Tickets") -> None:
         """Route a window once, cut it into runs, enqueue them per shard.
 
         Per-client, per-shard FIFO order is preserved: the stable
@@ -607,7 +673,7 @@ class Coalescer:
         now = time.perf_counter()
         latencies: list[float] = []
         failed: list[tuple[_Run, Exception]] = []
-        by_sink: dict["Window | _Futures", tuple[list[int], list[object]]] = {}
+        by_sink: dict["Window | _Tickets", tuple[list[int], list[object]]] = {}
         for run, result in zip(runs, results):
             if isinstance(result, Exception):
                 failed.append((run, result))

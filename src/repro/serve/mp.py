@@ -75,7 +75,7 @@ class WorkerDied(RuntimeError):
 
     Raised to the dispatching thread; the coalescer converts it into
     typed :class:`~repro.serve.requests.WorkerError` responses instead
-    of letting it unwind through client futures.
+    of letting it unwind through client tickets and windows.
     """
 
     def __init__(self, shard: int, reason: str) -> None:

@@ -12,7 +12,7 @@ The server wires the pieces of the serving layer together:
 * a :class:`~repro.serve.stats.ServerStats` collects counters and
   latency histograms for the E19 artifact.
 
-Clients either ``submit()`` requests asynchronously (futures resolving
+Clients either ``submit()`` requests asynchronously (tickets resolving
 to :class:`Response` / :class:`Overloaded`) or use the synchronous
 convenience methods (``lookup``/``point_query``/...), which mirror the
 index interfaces exactly — same arguments, same return values — so a
@@ -21,22 +21,25 @@ server can stand in for a bare index in parity tests.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.serve.cache import ResultCache
-from repro.serve.coalescer import Coalescer
+from repro.serve.coalescer import Coalescer, Ticket
 from repro.serve.mp import ProcessShardExecutor
-from repro.serve.requests import READ_OPS, Op, Overloaded, Request, Response
+from repro.serve.requests import OPS_BY_CODE, READ_OPS, Op, Overloaded, Request
 from repro.serve.sharding import ShardedStore
 from repro.serve.stats import ServerStats
 
 __all__ = ["IndexServer"]
 
 _MISS = object()
+
+#: Per ``Op.code``: is the op a cacheable read (a tuple index instead of
+#: hashing an enum member per request).
+_CACHEABLE = tuple(op in READ_OPS for op in OPS_BY_CODE)
 
 
 class IndexServer:
@@ -209,39 +212,40 @@ class IndexServer:
         self.close()
 
     # -- asynchronous surface ---------------------------------------------
-    def submit(self, request: Request) -> Future:
-        """Route one request; returns a future resolving to a Response.
+    def submit(self, request: Request) -> Ticket:
+        """Route one request; returns a :class:`Ticket` resolving to a Response.
 
         Reads first consult the result cache under a key that includes
         every involved shard's current write generation — a hit skips
-        the queue entirely; a miss enqueues with a completion callback
-        that fills the cache (keyed on the generations observed *before*
-        execution, so a concurrent write either bumps the generation
-        first, making the filled entry unreachable, or commits after,
-        making the cached value stale-free).
+        the queue entirely and returns an already-resolved ticket
+        holding the cached (immutable) :class:`Response`; a miss
+        enqueues with a completion callback that fills the cache (keyed
+        on the generations observed *before* execution, so a
+        concurrent write either bumps the generation first, making the
+        filled entry unreachable, or commits after, making the cached
+        value stale-free).
         """
         observer = self._observer
         if observer is not None:
             observer(request)
-        if request.op in READ_OPS and self._cache.capacity > 0:
-            shards = self._store.route(request)
-            gens = tuple(self._store.generations[s] for s in shards)
-            key = (request.cache_args(), shards, gens)
-            hit = self._cache.get(key, _MISS)
+        cache = self._cache
+        if _CACHEABLE[request.op.code] and cache.capacity > 0:
+            store = self._store
+            shards = store.route(request)
+            generations = store.generations
+            key = (request.cache_args(), shards, tuple([generations[s] for s in shards]))
+            hit = cache.get(key, _MISS)
             if hit is not _MISS:
-                self._stats.record_cache(True)
-                self._stats.record_done(0.0)
-                fut: Future = Future()
-                fut.set_result(Response(value=hit))
-                return fut
+                self._stats.record_hit()
+                return Ticket(hit)  # type: ignore[arg-type]
             self._stats.record_cache(False)
             return self._coalescer.submit(
-                request, callback=lambda value: self._cache.put(key, value),
+                request, callback=lambda response: cache.put(key, response),
                 home=shards[0] if shards else 0,
             )
         return self._coalescer.submit(request)
 
-    def submit_many(self, requests: Sequence[Request]) -> list[Future]:
+    def submit_many(self, requests: Sequence[Request]) -> list[Ticket]:
         """Submit a pipelined window of requests, routing it in bulk.
 
         With the result cache disabled this goes through the coalescer's
@@ -259,14 +263,14 @@ class IndexServer:
 
         Returns result values in submission order; shed requests appear
         as :class:`Overloaded` instances.  With the result cache enabled
-        this degrades to the future-based path so reads stay cached.
+        this degrades to the per-request ticket path so reads stay cached.
         This is the coalesced-arm path of the closed-loop driver behind
         E19.
         """
         if self._cache.capacity > 0:
             out: list[object] = []
-            for fut in [self.submit(request) for request in requests]:
-                response = fut.result()
+            for ticket in [self.submit(request) for request in requests]:
+                response = ticket.result()
                 out.append(response if isinstance(response, Overloaded) else response.value)
             return out
         self._observe_many(requests)

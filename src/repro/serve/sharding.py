@@ -40,6 +40,7 @@ the race.
 
 from __future__ import annotations
 
+import bisect
 import json
 from contextlib import ExitStack
 from pathlib import Path
@@ -122,6 +123,7 @@ class ShardedStore:
         self._locks = [make_rlock("ShardedStore._locks", rank=s)
                        for s in range(num_shards)]
         self._bounds = np.empty(0)          # shard split keys / codes
+        self._bound_list: list = []         # _bounds as Python scalars (scalar routes)
         self._bounds_version = 0            # bumped by every rebalance
         self.multi_dim = False
         self.dims = 0
@@ -185,6 +187,7 @@ class ShardedStore:
             raise ValueError("values must align with data")
 
         self._bounds = self._split_bounds(route_keys)
+        self._bound_list = self._bounds.tolist()
         sids = (
             np.searchsorted(self._bounds, route_keys, side="right")
             if n else np.empty(0, dtype=np.int64)
@@ -226,15 +229,23 @@ class ShardedStore:
             raise RuntimeError("ShardedStore: call build() before serving")
 
     # -- routing -----------------------------------------------------------
+    # The scalar routes bisect ``_bound_list``, the Python-scalar copy of
+    # ``_bounds``: ``ndarray.searchsorted`` releases the GIL on every
+    # call, even over three bounds, so a routed scalar request would hand
+    # the CPU to whichever worker thread it just woke.  ``bisect_right``
+    # is ``searchsorted(side="right")`` over a sorted list, NaN included
+    # (it compares below nothing, so it lands past every bound), as long
+    # as the bounds themselves hold no NaN (``rebalance`` refuses one)
+    # and the key is the float64 a column would hold (an int past 2**53
+    # rounds first).
     def route_key(self, key: float) -> int:
         """Shard id owning a 1-d key."""
-        return int(self._bounds.searchsorted(key, side="right"))
+        return bisect.bisect_right(self._bound_list, float(key))
 
     def route_point(self, point: Sequence[float]) -> int:
         """Shard id owning a multi-d point (by Morton code)."""
         pts = np.asarray(point, dtype=np.float64).reshape(1, -1)
-        code = self._encode(pts)[0]
-        return int(self._bounds.searchsorted(code, side="right"))
+        return bisect.bisect_right(self._bound_list, int(self._encode(pts)[0]))
 
     def route(self, request: Request) -> tuple[int, ...]:
         """All shard ids a request touches (first one hosts its queue slot)."""
@@ -305,10 +316,9 @@ class ShardedStore:
         hi = np.asarray(high, dtype=np.float64).reshape(1, -1)
         if np.any(hi < lo):
             return ()
-        cmin = self._encode(lo)[0]
-        cmax = self._encode(hi)[0]
-        lo_s = int(np.searchsorted(self._bounds, cmin, side="right"))
-        hi_s = int(np.searchsorted(self._bounds, cmax, side="right"))
+        bound_list = self._bound_list
+        lo_s = bisect.bisect_right(bound_list, int(self._encode(lo)[0]))
+        hi_s = bisect.bisect_right(bound_list, int(self._encode(hi)[0]))
         return tuple(range(lo_s, hi_s + 1))
 
     # -- scalar queries ----------------------------------------------------
@@ -764,6 +774,16 @@ class ShardedStore:
             values = [v for _k, v in items]
             sample_arr = (np.asarray(sample, dtype=np.float64)
                           if sample is not None else np.empty(0))
+            # A NaN probe says nothing about where keys sit, and a NaN
+            # bound would route differently under the scalar bisect and
+            # the vectorized searchsorted: drop such samples, refuse
+            # such bounds.
+            if self.multi_dim:
+                sample_arr = sample_arr.reshape(-1, self.dims)
+                sample_arr = sample_arr[~np.isnan(sample_arr).any(axis=1)]
+            else:
+                sample_arr = sample_arr.reshape(-1)
+                sample_arr = sample_arr[~np.isnan(sample_arr)]
             if bounds is not None:
                 new_bounds = np.asarray(bounds, dtype=route_keys.dtype)
                 if new_bounds.size != self.num_shards - 1:
@@ -772,16 +792,12 @@ class ShardedStore:
                         f"bounds, got {new_bounds.size}"
                     )
             elif sample_arr.size:
-                if self.multi_dim:
-                    new_bounds = self._split_bounds(
-                        self._encode(sample_arr.reshape(-1, self.dims))
-                    )
-                else:
-                    new_bounds = self._split_bounds(sample_arr.reshape(-1))
+                new_bounds = self._split_bounds(
+                    self._encode(sample_arr) if self.multi_dim else sample_arr)
             else:
                 new_bounds = self._split_bounds(route_keys)
-            if new_bounds.size > 1 and np.any(np.diff(new_bounds) < 0):
-                raise ValueError("rebalance bounds must be non-decreasing")
+            if np.isnan(new_bounds).any() or np.any(new_bounds[1:] < new_bounds[:-1]):
+                raise ValueError("rebalance bounds must be non-decreasing and not NaN")
             sids = (np.searchsorted(new_bounds, route_keys, side="right")
                     if route_keys.size else np.empty(0, dtype=np.int64))
             for s in range(self.num_shards):
@@ -798,6 +814,7 @@ class ShardedStore:
                     self._artifact_dirs[s] = None
                     self._artifact_gens[s] = -1
             self._bounds = new_bounds
+            self._bound_list = new_bounds.tolist()
             self._bounds_version += 1
             return self._bounds_version
 
@@ -993,6 +1010,7 @@ class ShardedStore:
         store.dims = int(meta["dims"])
         bounds_dtype = np.int64 if store.multi_dim else np.float64
         store._bounds = np.asarray(meta["bounds"], dtype=bounds_dtype)
+        store._bound_list = store._bounds.tolist()
         store._lo = np.asarray(meta["lo"], dtype=np.float64)
         store._hi = np.asarray(meta["hi"], dtype=np.float64)
         generations = [int(g) for g in meta["generations"]]

@@ -118,9 +118,9 @@ class ServerStats:
     Tracks global counters (requests, sheds, cache hits/misses, batches),
     per-shard request/batch counts with queue high-water marks, and one
     latency histogram per operation family.  Counter updates take a
-    single internal lock — the serving hot path calls at most two
-    counter methods per request, so contention stays negligible next to
-    the index work itself.
+    single internal lock — a cache hit makes one call
+    (:meth:`record_hit`), a miss two, so contention stays negligible
+    next to the index work itself.
     """
 
     def __init__(self, num_shards: int) -> None:
@@ -201,6 +201,16 @@ class ServerStats:
         """Count one batch kernel call that raised (should stay 0)."""
         with self._lock:
             self.kernel_faults += 1
+
+    def record_hit(self) -> None:
+        """One read answered from the result cache: a hit and a
+        zero-latency response under one lock take."""
+        with self._lock:
+            self.cache_hits += 1
+            self.responses += 1
+            latency = self.latency  # record_n(0.0, 1): bucket 0, nothing to add
+            latency.counts[0] += 1
+            latency.total += 1
 
     def record_cache(self, hit: bool) -> None:
         with self._lock:

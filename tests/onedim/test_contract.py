@@ -48,6 +48,18 @@ class TestLookupContract:
         assert index.lookup(-1e300) is None
         assert index.lookup(1e300) is None
 
+    @pytest.mark.parametrize("probe", [np.inf, -np.inf], ids=["+inf", "-inf"])
+    def test_infinite_probes_miss(self, any_factory, uniform_keys, probe):
+        """``±inf`` is a plain miss, scalar and batch alike: a learned
+        model's prediction at ``±inf`` must saturate, never reach
+        ``int()`` as an infinity (``OverflowError``)."""
+        index = any_factory().build(uniform_keys)
+        assert index.lookup(probe) is None
+        assert index.contains(probe) is False
+        queries = np.array([probe, float(np.sort(uniform_keys)[7])])
+        assert list(index.lookup_batch(queries)) == [index.lookup(q) for q in queries]
+        assert list(index.contains_batch(queries)) == [index.contains(q) for q in queries]
+
     def test_custom_values(self, any_factory):
         keys = [5.0, 1.0, 3.0]
         index = any_factory().build(keys, values=["e", "a", "c"])

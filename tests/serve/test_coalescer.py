@@ -1,5 +1,6 @@
 """Coalescer edge cases: empty flush, batch parity, shedding, determinism."""
 
+import builtins
 import threading
 import time
 
@@ -15,6 +16,9 @@ from repro.serve import (
     Request,
     ServerStats,
     ShardedStore,
+    Ticket,
+    WorkerDied,
+    WorkerError,
     make_workload,
     run_closed_loop,
 )
@@ -491,6 +495,90 @@ class TestNoFateSharing:
         coalescer.flush()
         window.wait()
         assert stats.kernel_faults == 0 and stats.snapshot()["kernel_faults"] == 0
+
+
+class _DyingExecutor:
+    """A process executor whose shard worker dies holding every window."""
+
+    def execute_columns(self, shard, op, column):
+        raise WorkerDied(shard, "killed for the test")
+
+
+class TestTickets:
+    """``submit`` returns a :class:`Ticket`: ``done()`` / ``result(timeout)``."""
+
+    def test_done_before_and_after_flush(self):
+        keys, _, _, coalescer = _fixture()
+        ticket = coalescer.submit(Request(op=Op.LOOKUP, key=float(keys[4])))
+        assert isinstance(ticket, Ticket)
+        assert not ticket.done()
+        coalescer.flush()
+        assert ticket.done()
+        assert ticket.result().value == SortedArrayIndex().build(keys).lookup(keys[4])
+        assert ticket.result(timeout=0).value == ticket.result().value
+
+    def test_result_timeout_raises_the_builtin_timeout_error(self):
+        keys, _, _, coalescer = _fixture()
+        ticket = coalescer.submit(Request(op=Op.LOOKUP, key=float(keys[0])))
+        started = time.monotonic()
+        with pytest.raises(TimeoutError) as info:
+            ticket.result(timeout=0.05)
+        assert type(info.value) is builtins.TimeoutError
+        assert time.monotonic() - started >= 0.04
+        with pytest.raises(TimeoutError):
+            ticket.result(timeout=0)
+        assert not ticket.done()
+        coalescer.flush()
+        assert ticket.result(timeout=0).ok
+
+    def test_overloaded_comes_back_unwrapped_and_already_done(self):
+        keys, _, _, coalescer = _fixture(num_shards=1, capacity=1)
+        coalescer.submit(Request(op=Op.LOOKUP, key=float(keys[0])))
+        shed = coalescer.submit(Request(op=Op.LOOKUP, key=float(keys[1])))
+        assert shed.done()
+        assert shed.result(timeout=0) == Overloaded(depth=1)
+
+    def test_worker_error_comes_back_unwrapped(self):
+        keys, _, _, coalescer = _fixture(num_shards=1)
+        coalescer.executor = _DyingExecutor()
+        tickets = [coalescer.submit(r) for r in _lookups(keys[:3])]
+        coalescer.flush()
+        assert [t.result(timeout=0) for t in tickets] == [
+            WorkerError(shard=0, reason="killed for the test")] * 3
+
+    def test_a_kernel_exception_re_raises_on_every_result_call(self):
+        keys = np.arange(0.0, 100.0)
+        store = ShardedStore(_FaultyIndex, num_shards=1).build(np.append(keys, FAULT_KEY))
+        coalescer = Coalescer(store, ServerStats(1))
+        good = coalescer.submit(Request(op=Op.LOOKUP, key=3.0))
+        bad = coalescer.submit(Request(op=Op.LOOKUP, key=FAULT_KEY))
+        coalescer.flush()
+        assert good.result().value == 3
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="sentinel"):
+                bad.result(timeout=0)
+        assert bad.done()
+
+    def test_two_threads_waiting_on_one_ticket_both_wake(self):
+        keys, _, _, coalescer = _fixture()
+        ticket = coalescer.submit(Request(op=Op.LOOKUP, key=float(keys[2])))
+        seen = []
+        waiting = threading.Barrier(3)
+
+        def waiter():
+            waiting.wait(timeout=10.0)
+            seen.append(ticket.result(timeout=10.0).value)
+
+        threads = [threading.Thread(target=waiter) for _ in range(2)]
+        for t in threads:
+            t.start()
+        waiting.wait(timeout=10.0)
+        time.sleep(0.02)  # let both block on the latch
+        coalescer.flush()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert seen == [ticket.result().value] * 2
 
 
 def _spy_write_stretches(store):

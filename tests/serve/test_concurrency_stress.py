@@ -13,6 +13,7 @@ the runtime lock-order witness is armed throughout.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -88,6 +89,26 @@ class TestServerStatsStress:
         assert hist["mean_us"] == pytest.approx(expected_mean_us, rel=0, abs=0)
         assert hist["max_us"] == 15 * 2.0**-10 * 1e6
 
+    def test_record_hit_counts_one_hit_and_one_response(self):
+        stats = ServerStats(SHARDS)
+
+        def worker(tid: int) -> None:
+            for i in range(OPS):
+                if i % 3 == 0:
+                    stats.record_cache(hit=False)
+                    stats.record_done((i % 16) * 2.0**-10)
+                else:
+                    stats.record_hit()
+
+        run_threads(worker)
+        snap = stats.snapshot()
+        misses = THREADS * len(range(0, OPS, 3))
+        assert snap["cache_hits"] == THREADS * OPS - misses
+        assert snap["cache_misses"] == misses
+        assert snap["responses"] == THREADS * OPS
+        assert snap["latency"]["count"] == float(THREADS * OPS)
+        assert stats.latency.counts[0] >= THREADS * OPS - misses
+
     def test_batched_recording_matches_scalar_totals(self):
         stats = ServerStats(SHARDS)
 
@@ -107,6 +128,46 @@ class TestServerStatsStress:
         assert snap["batches"] == THREADS * (OPS // 8)
         assert snap["batched_requests"] == THREADS * OPS
         assert snap["avg_batch"] == 8.0
+        assert snap["latency"]["count"] == float(THREADS * OPS)
+
+
+class TestCachedServerStress:
+    def test_hits_and_misses_add_up_to_the_cached_reads(self):
+        """Eight clients ``submit`` cached reads at one server (tickets
+        completed by four shard workers): every read is exactly one hit
+        or one miss, one response, and the right answer."""
+        import numpy as np
+
+        from repro.baselines import SortedArrayIndex
+        from repro.serve import IndexServer, Op, Request
+
+        keys = np.arange(0.0, 400.0)
+        server = IndexServer(SortedArrayIndex, num_shards=SHARDS, cache_size=64).build(keys)
+        assert isinstance(server._stats._lock, TrackedLock)
+        answers: list[list[object]] = [[] for _ in range(THREADS)]
+
+        def worker(tid: int) -> None:
+            # Overlapping hot keys (hits) and per-thread cold keys (misses).
+            window = [Request(op=Op.LOOKUP, key=float((tid * 37 + i * i) % 400))
+                      for i in range(OPS)]
+            for start in range(0, OPS, 16):
+                tickets = [server.submit(r) for r in window[start:start + 16]]
+                answers[tid] += [t.result(timeout=30.0).value for t in tickets]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force hand-offs mid-submit and mid-completion
+        try:
+            run_threads(worker)
+            snap = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+        # Key k of arange(400) has global rank k.
+        assert answers == [[(tid * 37 + i * i) % 400 for i in range(OPS)]
+                           for tid in range(THREADS)]
+        assert snap["cache_hits"] + snap["cache_misses"] == THREADS * OPS
+        assert snap["cache_hits"] == snap["cache"]["hits"] > 0
+        assert snap["responses"] == THREADS * OPS
         assert snap["latency"]["count"] == float(THREADS * OPS)
 
 

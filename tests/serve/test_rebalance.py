@@ -54,6 +54,22 @@ class TestRebalanceParity:
         with pytest.raises(ValueError):
             store.rebalance(bounds=[3e5, 2e5, 1e5])  # must be sorted
 
+    def test_nan_never_becomes_a_bound(self):
+        """A NaN bound orders differently under the scalar routes' bisect
+        and the vectorized ``searchsorted``: explicit NaN bounds are
+        refused and NaN samples dropped before the split."""
+        keys = _keys()
+        store = ShardedStore(SortedArrayIndex, num_shards=4).build(keys)
+        with pytest.raises(ValueError, match="NaN"):
+            store.rebalance(bounds=[1e5, 2e5, np.nan])
+        store.rebalance(sample=np.array([1e5, 2e5, 3e5, 4e5] + [np.nan] * 12))
+        assert store.bounds.tolist() == [2e5, 3e5, 4e5]
+        pts = np.random.default_rng(3).uniform(0.0, 100.0, (200, 2))
+        md = ShardedStore(MULTI_DIM_FACTORIES["zm-index"], num_shards=2).build(pts)
+        md.rebalance(sample=np.vstack([pts[:40], np.full((80, 2), np.nan)]))
+        assert md.bounds.tolist() == md._split_bounds(md._encode(pts[:40])).tolist()
+        assert len(store) == keys.size and len(md) == 200
+
     def test_multi_dim_rebalance_parity(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(0.0, 100.0, (400, 2))

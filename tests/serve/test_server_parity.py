@@ -19,7 +19,7 @@ from repro.bench.runner import (
     ONE_DIM_FACTORIES,
 )
 from repro.bench.serving import DEFAULT_E19_MULTI_DIM, DEFAULT_E19_ONE_DIM
-from repro.serve import IndexServer
+from repro.serve import IndexServer, Op, Request
 
 
 def _server(factory, data, **kwargs):
@@ -154,6 +154,25 @@ def test_cache_serves_repeated_reads():
         server.close()
 
 
+def test_cache_hit_returns_a_ticket_that_is_already_done():
+    rng = np.random.default_rng(8)
+    keys = rng.uniform(0.0, 1e6, 300)
+    server = _server(ONE_DIM_FACTORIES["pgm"], keys, cache_size=64)
+    try:
+        request = Request(op=Op.LOOKUP, key=float(np.sort(keys)[5]))
+        first = server.submit(request)
+        assert first.result(timeout=10.0).value == 5
+        hits = server.stats()["cache_hits"]
+        second = server.submit(request)
+        assert second.done()
+        assert second.result(timeout=0) == first.result()
+        stats = server.stats()
+        assert stats["cache_hits"] == hits + 1
+        assert stats["responses"] == 2
+    finally:
+        server.close()
+
+
 def test_write_invalidates_cached_read():
     rng = np.random.default_rng(6)
     keys = rng.uniform(0.0, 1e6, 400)
@@ -169,20 +188,16 @@ def test_write_invalidates_cached_read():
 
 
 def test_overloaded_sync_call_raises_runtime_error():
-    from repro.serve import Overloaded
+    from repro.serve import Overloaded, Ticket
 
     rng = np.random.default_rng(7)
     keys = rng.uniform(0.0, 1e6, 300)
     server = _server(ONE_DIM_FACTORIES["rmi"], keys, cache_size=0)
     try:
-        # Force the shed path: a pre-resolved Overloaded future from submit.
+        # Force the shed path: a pre-resolved Overloaded ticket from submit.
         class _Shedding:
             def submit(self, request, callback=None):
-                import concurrent.futures
-
-                fut = concurrent.futures.Future()
-                fut.set_result(Overloaded(depth=9))
-                return fut
+                return Ticket(Overloaded(depth=9))
 
         real = server._coalescer
         server._coalescer = _Shedding()
