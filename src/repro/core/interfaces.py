@@ -40,6 +40,9 @@ __all__ = [
     "MembershipFilter",
     "NotBuiltError",
     "as_object_array",
+    "as_pairs",
+    "box_mask",
+    "point_distances",
 ]
 
 
@@ -58,6 +61,70 @@ def as_object_array(values: Sequence[object]) -> np.ndarray:
     for i, v in enumerate(values):
         out[i] = v
     return out
+
+
+def as_pairs(points: np.ndarray, values: np.ndarray) -> list[tuple[tuple[float, ...], object]]:
+    """The tuple API's ``(point, value)`` pairs from result columns.
+
+    ``points`` is ``(r, d)`` float64 and ``values`` an ``(r,)`` object
+    array; each point becomes a tuple of Python floats.  This is the one
+    place the multi-d range and kNN answers turn into tuples.
+    """
+    return list(zip(map(tuple, points.tolist()), values.tolist()))
+
+
+def box_mask(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``(r, d)`` rows with ``lo <= row <= hi`` in every
+    column (closed box; NaN never matches).
+
+    One column at a time: numpy reduces a short inner axis row by row,
+    which costs several times more than ``d`` strided column passes.
+    """
+    mask: np.ndarray = (rows[:, 0] >= lo[0]) & (rows[:, 0] <= hi[0])
+    for j in range(1, rows.shape[1]):
+        mask &= (rows[:, j] >= lo[j]) & (rows[:, j] <= hi[j])
+    return mask
+
+
+def point_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distance from ``q`` to each row of ``points``.
+
+    The one distance formula behind every generic kNN answer and the
+    sharded kNN merge: equal inputs give bit-equal distances wherever
+    they are ranked, so ``(distance, point, value)`` orders agree.
+    """
+    diff = points - q
+    dists: np.ndarray = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return dists
+
+
+def _knn_box(q: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed box holding every point whose computed distance to ``q`` is
+    at most ``radius``.
+
+    ``q - radius`` rounds, and a computed distance can round below the
+    true axis offset, so a point exactly ``radius`` away along one axis
+    could fall just outside ``[q - radius, q + radius]``.  A relative
+    slack far above those few ulps, then one more ulp outward, keeps it
+    inside.
+    """
+    slack = radius * (1.0 + 1e-9)
+    return np.nextafter(q - slack, -np.inf), np.nextafter(q + slack, np.inf)
+
+
+def _nearest(points: np.ndarray, values: np.ndarray, dists: np.ndarray,
+             k: int) -> list[tuple[tuple[float, ...], object]]:
+    """The ``k`` first candidates in ``(distance, point, value)`` order.
+
+    Only rows tied with or nearer than the ``k``-th distance become
+    tuples; Python's tuple order then breaks ties on the point and, for
+    duplicate points, on the value.
+    """
+    if dists.size > k:
+        keep = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+        points, values, dists = points[keep], values[keep], dists[keep]
+    ranked = sorted(zip(dists.tolist(), map(tuple, points.tolist()), values.tolist()))
+    return [(p, v) for _, p, v in ranked[:k]]
 
 
 @dataclass
@@ -408,49 +475,62 @@ class MultiDimIndex(abc.ABC):
     def knn_query(self, point: Sequence[float], k: int) -> list[tuple[tuple[float, ...], object]]:
         """Return the ``k`` nearest neighbours of ``point`` (Euclidean).
 
-        The default implementation performs range expansion over
-        :meth:`range_query`; spatial trees override it with guided search.
+        Results are ordered by ``(distance, point, value)``.  The default
+        implementation expands a box over :meth:`_range_columns`, with
+        vectorised distances, from the radius :meth:`_knn_seed_radius`
+        proposes; spatial trees override it with guided search.
         """
         self._require_built()
         if k <= 0:
             return []
         q = np.asarray(point, dtype=np.float64)
-        # Expanding-radius search: start from a small box, grow until we
-        # have k candidates whose true distance is within the box radius.
+        # Expanding-radius search: grow the box until it holds k
+        # candidates whose true distance is within the box radius.
         # Growth is clamped: once the box dwarfs the data extent, wider
         # boxes cannot add candidates, and unclamped doubling of a large
         # initial radius would overflow to inf (and then nan bounds).
-        radius = self._initial_knn_radius(k)
+        radius = self._knn_seed_radius(q, k)
         max_radius = min(
             max(float(getattr(self, "_extent", 1.0)), radius, 1.0) * 2.0 ** 40,
             1e300,
         )
-        candidates: list[tuple[tuple[float, ...], object]] = []
         for _ in range(64):
-            lo = q - radius
-            hi = q + radius
-            candidates = self.range_query(lo, hi)
-            if len(candidates) >= k:
-                dists = sorted(
-                    (float(np.linalg.norm(np.asarray(p) - q)), p, v) for p, v in candidates
-                )
-                if dists[k - 1][0] <= radius:
-                    return [(p, v) for _, p, v in dists[:k]]
+            points, values = self._range_columns(*_knn_box(q, radius))
+            if values.size >= k:
+                dists = point_distances(points, q)
+                if np.partition(dists, k - 1)[k - 1] <= radius:
+                    return _nearest(points, values, dists, k)
             if radius >= max_radius:
                 break  # box already covers the whole data space
             radius = min(radius * 2.0, max_radius)
         # Fall back to whatever we gathered (covers tiny datasets and
-        # k > len(index)); the last query used the largest box.
-        if not candidates:
+        # k > len(index)); the last query used the largest box.  An empty
+        # index may report ``dims == 0``, so its (0, 0) columns never
+        # reach the distance formula.
+        if not values.size:
             return []
-        dists = sorted((float(np.linalg.norm(np.asarray(p) - q)), p, v) for p, v in candidates)
-        return [(p, v) for _, p, v in dists[:k]]
+        return _nearest(points, values, point_distances(points, q), k)
 
-    def _initial_knn_radius(self, k: int) -> float:
+    def _knn_seed_radius(self, q: np.ndarray, k: int) -> float:
+        """First box radius of the generic kNN: the data extent scaled by
+        the share of the index ``k`` points make up.  Learned families
+        whose model can place ``q`` override it with a tighter guess."""
         n = max(len(self), 1)
         extent = getattr(self, "_extent", 1.0)
         frac = min(1.0, (k / n) ** (1.0 / max(self.dims, 1)))
-        return max(extent * frac, extent * 1e-6, 1e-12)
+        return float(max(extent * frac, extent * 1e-6, 1e-12))
+
+    def _range_columns(self, low: Sequence[float], high: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`range_query`'s answer as columns, in the same order.
+
+        Returns ``(points, values)``: an ``(r, d)`` float64 array and an
+        ``(r,)`` object array.  The default converts the family's own
+        ``range_query``; families with a columnar layout override this
+        and make ``range_query`` a wrapper over it.
+        """
+        pairs = self.range_query(low, high)
+        points = np.array([p for p, _ in pairs], dtype=np.float64).reshape(len(pairs), self.dims)
+        return points, as_object_array([v for _, v in pairs])
 
     def __len__(self) -> int:
         raise NotImplementedError

@@ -22,9 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.interfaces import MultiDimIndex, as_object_array
+from repro.core.interfaces import MultiDimIndex, as_object_array, as_pairs, box_mask
+from repro.multidim._cells import cell_runs
 
 __all__ = ["FloodIndex"]
+
+_NO_VALUES = np.empty(0, dtype=object)
 
 
 class FloodIndex(MultiDimIndex):
@@ -79,24 +82,16 @@ class FloodIndex(MultiDimIndex):
             self._boundaries.append(np.quantile(pts[:, d], probs))
         cell_ids = self._cell_ids(pts)
         order = np.lexsort((pts[:, self.sort_dim],) + tuple(cell_ids[:, ::-1].T))
-        self._cells = {}
-        sorted_ids = cell_ids[order]
         sorted_pts = pts[order]
-        sorted_vals = [self._values[i] for i in order]
-        start = 0
-        n = pts.shape[0]
-        while start < n:
-            end = start + 1
-            while end < n and np.array_equal(sorted_ids[end], sorted_ids[start]):
-                end += 1
-            cid = tuple(int(c) for c in sorted_ids[start])
+        sorted_vals = as_object_array(self._values)[order]
+        self._cells = {}
+        for cid, start, end in cell_runs(cell_ids[order]):
             cell_pts = sorted_pts[start:end]
             self._cells[cid] = (
                 cell_pts[:, self.sort_dim].copy(),
                 cell_pts,
-                as_object_array(sorted_vals[start:end]),
+                sorted_vals[start:end],
             )
-            start = end
         self.stats.size_bytes = (
             sum(b.size * 8 for b in self._boundaries)
             + len(self._cells) * 48
@@ -250,9 +245,8 @@ class FloodIndex(MultiDimIndex):
         """Vectorized batch range queries (element-wise equal to scalar).
 
         Cell corners for every box are routed with one ``searchsorted``
-        per grid dimension; each visited cell is then filtered with a
-        single numpy mask over its contiguous sort-key slice instead of a
-        per-point Python loop.
+        per grid dimension; each box is then answered by the same
+        per-cell slice-and-mask as :meth:`range_query`.
         """
         self._require_built()
         lo_arr = np.asarray(lows, dtype=np.float64)
@@ -260,63 +254,57 @@ class FloodIndex(MultiDimIndex):
         if lo_arr.ndim != 2 or hi_arr.shape != lo_arr.shape:
             raise ValueError("lows/highs must both have shape (m, d)")
         m = lo_arr.shape[0]
-        results: list[list[tuple[tuple[float, ...], object]]] = [[] for _ in range(m)]
         if m == 0 or not self._cells:
-            return results
+            return [[] for _ in range(m)]
         g = len(self._grid_dims)
         lo_ids = np.zeros((m, g), dtype=np.int64)
         hi_ids = np.zeros((m, g), dtype=np.int64)
         for j, (d, bounds) in enumerate(zip(self._grid_dims, self._boundaries)):
             lo_ids[:, j] = np.searchsorted(bounds, lo_arr[:, d], side="right")
             hi_ids[:, j] = np.searchsorted(bounds, hi_arr[:, d], side="right")
-        empty = np.any(hi_arr < lo_arr, axis=1)
-        for i in range(m):
-            if empty[i]:
-                continue
-            lo, hi = lo_arr[i], hi_arr[i]
-            out_i = results[i]
-            for cid in itertools.product(*(range(a, b + 1) for a, b in zip(lo_ids[i], hi_ids[i]))):
-                bucket = self._cells.get(cid)
-                self.stats.nodes_visited += 1
-                if bucket is None:
-                    continue
-                sort_keys, cell_pts, cell_vals = bucket
-                s_lo = int(np.searchsorted(sort_keys, lo[self.sort_dim], side="left"))
-                s_hi = int(np.searchsorted(sort_keys, hi[self.sort_dim], side="right"))
-                if s_lo >= s_hi:
-                    continue
-                self.stats.keys_scanned += s_hi - s_lo
-                seg = cell_pts[s_lo:s_hi]
-                mask = np.all(seg >= lo, axis=1) & np.all(seg <= hi, axis=1)
-                for j in np.nonzero(mask)[0]:
-                    out_i.append((tuple(float(c) for c in seg[j]), cell_vals[s_lo + j]))
-        return results
+        return [
+            as_pairs(*self._box_columns(lo, hi, a, b))
+            for lo, hi, a, b in zip(lo_arr, hi_arr, lo_ids.tolist(), hi_ids.tolist())
+        ]
 
     def range_query(self, low: Sequence[float], high: Sequence[float]) -> list[tuple[tuple[float, ...], object]]:
         self._require_built()
-        if not self._cells:
-            return []
+        return as_pairs(*self._range_columns(low, high))
+
+    def _range_columns(self, low: Sequence[float], high: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(low, dtype=np.float64)
         hi = np.asarray(high, dtype=np.float64)
-        if np.any(hi < lo):
-            return []
-        lo_cell = self._cell_of(lo)
-        hi_cell = self._cell_of(hi)
-        out: list[tuple[tuple[float, ...], object]] = []
+        if not self._cells:
+            return np.empty((0, self.dims)), _NO_VALUES
+        return self._box_columns(lo, hi, self._cell_of(lo), self._cell_of(hi))
+
+    def _box_columns(self, lo: np.ndarray, hi: np.ndarray, lo_cell: Sequence[int],
+                     hi_cell: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Points and values inside ``[lo, hi]``, visiting the cells from
+        ``lo_cell`` to ``hi_cell``: each cell's sort-key slice is filtered
+        by one vectorised in-box mask."""
+        pts_parts = [np.empty((0, self.dims))]
+        val_parts = [_NO_VALUES]
+        # ``lo <= hi`` is false for inverted boxes and NaN corners alike.
+        if not np.all(lo <= hi):
+            return pts_parts[0], val_parts[0]
+        s_low, s_high = lo[self.sort_dim], hi[self.sort_dim]
         for cid in itertools.product(*(range(a, b + 1) for a, b in zip(lo_cell, hi_cell))):
             bucket = self._cells.get(cid)
             self.stats.nodes_visited += 1
             if bucket is None:
                 continue
             sort_keys, cell_pts, cell_vals = bucket
-            s_lo = int(np.searchsorted(sort_keys, lo[self.sort_dim], side="left"))
-            s_hi = int(np.searchsorted(sort_keys, hi[self.sort_dim], side="right"))
-            for i in range(s_lo, s_hi):
-                p = cell_pts[i]
-                self.stats.keys_scanned += 1
-                if np.all(p >= lo) and np.all(p <= hi):
-                    out.append((tuple(float(c) for c in p), cell_vals[i]))
-        return out
+            s_lo = int(np.searchsorted(sort_keys, s_low, side="left"))
+            s_hi = int(np.searchsorted(sort_keys, s_high, side="right"))
+            if s_lo >= s_hi:
+                continue
+            self.stats.keys_scanned += s_hi - s_lo
+            seg = cell_pts[s_lo:s_hi]
+            keep = s_lo + np.flatnonzero(box_mask(seg, lo, hi))
+            pts_parts.append(cell_pts[keep])
+            val_parts.append(cell_vals[keep])
+        return np.concatenate(pts_parts), np.concatenate(val_parts)
 
     def __len__(self) -> int:
         return int(self._points.shape[0])

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.interfaces import MultiDimIndex
+from repro.multidim._cells import cell_runs
 
 __all__ = ["SPRIGIndex"]
 
@@ -64,19 +65,12 @@ class SPRIGIndex(MultiDimIndex):
         order = np.lexsort((pts[:, sort_dim],) + tuple(cell_ids.T[::-1]))
         sorted_ids = cell_ids[order]
         sorted_pts = pts[order]
-        sorted_vals = [vals[i] for i in order]
-        start = 0
-        n = pts.shape[0]
-        while start < n:
-            end = start + 1
-            while end < n and np.array_equal(sorted_ids[end], sorted_ids[start]):
-                end += 1
-            cid = tuple(int(c) for c in sorted_ids[start])
+        sorted_vals = [vals[i] for i in order.tolist()]
+        for cid, start, end in cell_runs(sorted_ids):
             cell_pts = sorted_pts[start:end]
             self._cells[cid] = (cell_pts[:, sort_dim].copy(), cell_pts, sorted_vals[start:end])
-            start = end
         self.stats.size_bytes = (
-            sum(b.size * 8 for b in self._boundaries) + len(self._cells) * 48 + n * 8
+            sum(b.size * 8 for b in self._boundaries) + len(self._cells) * 48 + self._size * 8
         )
         self.stats.extra["cells"] = len(self._cells)
         return self

@@ -3,24 +3,50 @@
 The canonical *projected space* learned multi-dimensional index
 (Approach 2 of the survey): points are projected onto the Z-order curve,
 the codes are sorted, and a learned one-dimensional index (here: PGM
-segments) maps codes to positions.  Range queries scan the code interval
-of the query box and skip the curve's excursions with BIGMIN.
+segments) maps codes to positions.  Range queries mask the code-interval
+slice of the query box and skip the curve's long excursions with BIGMIN;
+kNN seeds its search radius from a code-order window around the query's
+learned position.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.interfaces import MultiDimIndex, as_object_array
+from repro.core.interfaces import (
+    MultiDimIndex,
+    as_object_array,
+    as_pairs,
+    box_mask,
+    point_distances,
+)
 from repro.core.numeric import exact_float64
 from repro.curves.capacity import require_code_budget
 from repro.curves.zorder import bigmin, interleave, quantize, zencode_array
 from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search, bounded_search_batch, lower_bound
+from repro.onedim._search import bounded_binary_search, bounded_search_batch
 
 __all__ = ["ZMIndex"]
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _use_mask(width: int, cells: int) -> bool:
+    """Mask a box's whole code-interval slice, or walk it with BIGMIN.
+
+    A box of ``cells`` lattice cells owns at most ``cells`` distinct
+    codes.  A slice of ``width`` rows no wider than that is masked whole
+    in one vectorised pass.  A wider slice holds more rows than the box
+    has codes — the curve's off-box excursions, or runs of duplicate
+    codes — so it is walked in blocks of ``cells`` rows that jump each
+    excursion they end on and double across duplicate runs.  Both arms
+    return the same rows (a hypothesis test pins it); the choice only
+    moves the work, and needs no tuning constant.
+    """
+    return width <= cells
 
 
 class ZMIndex(MultiDimIndex):
@@ -188,41 +214,97 @@ class ZMIndex(MultiDimIndex):
 
     def range_query(self, low: Sequence[float], high: Sequence[float]) -> list[tuple[tuple[float, ...], object]]:
         self._require_built()
-        if self._codes.size == 0:
-            return []
-        lo = np.asarray(low, dtype=np.float64)
-        hi = np.asarray(high, dtype=np.float64)
-        if np.any(hi < lo):
-            return []
+        return as_pairs(*self._range_columns(low, high))
+
+    def _range_columns(self, low: Sequence[float], high: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Code-interval slice of the box, filtered by a vectorised mask.
+
+        The box's corners give the code interval ``[z_lo, z_hi]``: the
+        learned model locates ``z_lo`` and one ``searchsorted`` closes the
+        slice.  A slice no wider than the box has cells is masked whole;
+        a wider one is walked in blocks, and a block that ends on the
+        curve's off-box excursion jumps it with BIGMIN (see
+        :func:`_use_mask`).  ``keys_scanned`` counts the rows masked and
+        ``nodes_visited`` the BIGMIN jumps taken.
+        """
+        rows = self._box_rows(np.asarray(low, dtype=np.float64),
+                              np.asarray(high, dtype=np.float64))
+        return self._points[rows], self._values_arr[rows]
+
+    def _box_rows(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Ascending positions of the stored points inside ``[lo, hi]``."""
+        n = self._codes.size
+        # ``lo <= hi`` is false for inverted boxes and NaN corners alike.
+        if n == 0 or not np.all(lo <= hi):
+            return _NO_ROWS
         clo = np.maximum(lo, self._lo)
         chi = np.minimum(hi, self._hi)
         if np.any(chi < clo):
-            return []
-        lo_q = tuple(int(c) for c in quantize(clo[None, :], self._lo, self._hi, self.bits)[0])
-        hi_q = tuple(int(c) for c in quantize(chi[None, :], self._lo, self._hi, self.bits)[0])
-        z_lo = self._encode_coords(lo_q)
-        z_hi = self._encode_coords(hi_q)
+            return _NO_ROWS
+        lo_q, hi_q = quantize(np.vstack((clo, chi)), self._lo, self._hi, self.bits).tolist()
+        z_lo = self._encode_coords(tuple(lo_q))
+        z_hi = self._encode_coords(tuple(hi_q))
+        start = self._locate_code(z_lo)
+        # A run of duplicate codes longer than the model's error window
+        # can hide the true lower bound outside it: verify, then fall back.
+        if (start < n and self._codes[start] < z_lo) or \
+                (start > 0 and self._codes[start - 1] >= z_lo):
+            start = int(np.searchsorted(self._codes, z_lo, side="left"))
+        end = start + int(np.searchsorted(self._codes[start:], z_hi, side="right"))
+        cells = math.prod(b - a + 1 for a, b in zip(lo_q, hi_q))
+        if _use_mask(end - start, cells):
+            self.stats.keys_scanned += end - start
+            return start + np.flatnonzero(box_mask(self._points[start:end], lo, hi))
+        return self._walk_rows(start, end, lo, hi, lo_q, hi_q, cells)
 
-        out: list[tuple[tuple[float, ...], object]] = []
-        n = self._codes.size
-        i = self._locate_code(z_lo)
-        while i < n and self._codes[i] <= z_hi:
-            qc = self._qcoords[i]
-            inside_q = all(lo_q[d] <= int(qc[d]) <= hi_q[d] for d in range(self.dims))
-            self.stats.keys_scanned += 1
-            if inside_q:
-                p = self._points[i]
-                if np.all(p >= lo) and np.all(p <= hi):
-                    out.append((tuple(float(c) for c in p), self._values[i]))
-                i += 1
+    def _walk_rows(self, start: int, end: int, lo: np.ndarray, hi: np.ndarray,
+                   lo_q: list[int], hi_q: list[int], block: int) -> np.ndarray:
+        """The wide-slice arm of :meth:`_box_rows`: mask ``block`` rows at
+        a time; a block ending inside the box doubles the next one, a
+        block ending off the box jumps the excursion with BIGMIN."""
+        qlo = np.asarray(lo_q)
+        qhi = np.asarray(hi_q)
+        box_lo, box_hi = tuple(lo_q), tuple(hi_q)
+        parts = [_NO_ROWS]
+        i, size = start, block
+        while i < end:
+            j = min(i + size, end)
+            self.stats.keys_scanned += j - i
+            in_q = box_mask(self._qcoords[i:j], qlo, qhi)
+            rows = i + np.flatnonzero(in_q)
+            parts.append(rows[box_mask(self._points[rows], lo, hi)])
+            if j == end:
+                break
+            if in_q[-1]:
+                i, size = j, 2 * size
                 continue
-            # Off-box excursion of the curve: jump with BIGMIN.
-            nxt = bigmin(int(self._codes[i]), lo_q, hi_q, self.dims, self.bits)
+            nxt = bigmin(int(self._codes[j - 1]), box_lo, box_hi, self.dims, self.bits)
             self.stats.nodes_visited += 1
             if nxt is None:
                 break
-            i = lower_bound(self._codes, nxt, i + 1, n, self.stats)
-        return out
+            i = j + int(np.searchsorted(self._codes[j:end], nxt, side="left"))
+            size = block
+        return np.concatenate(parts)
+
+    def _knn_seed_radius(self, q: np.ndarray, k: int) -> float:
+        """The k-th distance among the ~4k rows around ``q``'s learned
+        position on the curve.
+
+        ZM's kNN locates the query's Z-code with the learned model and
+        reads a code-order window around it.  At least ``k`` points lie
+        within the window's k-th distance, so the first box the generic
+        kNN draws from this radius already holds the answer.
+        """
+        n = self._codes.size
+        if n == 0 or not np.all(np.isfinite(q)):
+            return super()._knn_seed_radius(q, k)
+        pos = self._locate_code(self._encode_point(q))
+        width = min(n, 4 * k)
+        start = min(max(pos - width // 2, 0), n - width)
+        self.stats.keys_scanned += width
+        dists = point_distances(self._points[start:start + width], q)
+        kth = min(k, width) - 1
+        return float(np.partition(dists, kth)[kth])
 
     def _encode_coords(self, coords: tuple[int, ...]) -> int:
         return interleave(coords, self.bits)

@@ -54,7 +54,7 @@ from repro.core.artifact import (
     load_index_artifact,
     write_artifact,
 )
-from repro.core.interfaces import IndexStats, MultiDimIndex, OneDimIndex
+from repro.core.interfaces import IndexStats, MultiDimIndex, OneDimIndex, point_distances
 from repro.core.lockorder import make_rlock
 from repro.core.state import IndexState
 from repro.curves.capacity import require_code_budget
@@ -404,10 +404,11 @@ class ShardedStore:
 
         Each shard returns *its* ``k`` nearest, so the union provably
         contains the global ``k`` nearest; re-sorting with the same
-        ``(distance, point, value)`` tie-break the scalar path uses
-        reproduces the unsharded answer.  Restarts if a rebalance lands
-        mid-fan-out (checked under each shard lock), so a point that
-        moved between shards is never seen zero or two times.
+        distance formula (:func:`point_distances`) and ``(distance, point,
+        value)`` tie-break the scalar path uses reproduces the unsharded
+        answer.  Restarts if a rebalance lands mid-fan-out (checked under
+        each shard lock), so a point that moved between shards is never
+        seen zero or two times.
         """
         self._require_built()
         if k <= 0:
@@ -425,9 +426,9 @@ class ShardedStore:
                     candidates.extend(self.shards[s].knn_query(point, k))  # type: ignore[attr-defined]
             if not stale:
                 break
-        ranked = sorted(
-            (float(np.linalg.norm(np.asarray(p) - q)), p, v) for p, v in candidates
-        )
+        points = np.array([p for p, _ in candidates], dtype=np.float64)
+        dists = point_distances(points.reshape(len(candidates), q.size), q)
+        ranked = sorted((d, p, v) for d, (p, v) in zip(dists.tolist(), candidates))
         return [(p, v) for _, p, v in ranked[:k]]
 
     # -- batched queries (the coalescer fast path) -------------------------
