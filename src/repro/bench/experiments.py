@@ -84,20 +84,26 @@ def run_e1(n: int = 50000, lookups: int = 1000, datasets=_1D_DATASETS,
 
 
 def run_e2(n: int = 50000, datasets=_1D_DATASETS, indexes=None, seed: int = 1) -> list[dict]:
-    """E2: index size and build time per 1-d index and distribution."""
+    """E2: index size and build time per 1-d index and distribution.
+
+    Each dataset also gets an ``np.sort`` row: sorting the same keys is
+    the floor every build sits above (its size is the sorted column).
+    """
+    import time as _time
     rows = []
     names = indexes or list(ONE_DIM_FACTORIES)
     for ds in datasets:
         keys = load_1d(ds, n, seed=seed)
+        start = _time.perf_counter()
+        floor = np.sort(keys)
+        built = [("np.sort", _time.perf_counter() - start, floor.nbytes)]
         for name in names:
             index, build_s = build_index(ONE_DIM_FACTORIES[name], keys)
-            rows.append({
-                "dataset": ds,
-                "index": name,
-                "build_s": build_s,
-                "size_bytes": index.stats.size_bytes,
-                "bytes_per_key": index.stats.size_bytes / n,
-            })
+            built.append((name, build_s, index.stats.size_bytes))
+        rows += [{"dataset": ds, "index": name, "build_s": build_s,
+                  "build_ns_per_key": build_s / n * 1e9,
+                  "size_bytes": size, "bytes_per_key": size / n}
+                 for name, build_s, size in built]
     return rows
 
 

@@ -54,13 +54,10 @@ def as_object_array(values: Sequence[object]) -> np.ndarray:
     """1-d object ndarray holding ``values`` verbatim.
 
     ``np.asarray`` would recursively convert sequence-valued payloads
-    into multi-dimensional arrays; assigning element-wise keeps each
-    payload intact whatever its type.
+    into multi-dimensional arrays; ``np.fromiter`` stores each item as
+    one object, so a tuple, list or ndarray payload stays intact.
     """
-    out = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        out[i] = v
-    return out
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def as_pairs(points: np.ndarray, values: np.ndarray) -> list[tuple[tuple[float, ...], object]]:

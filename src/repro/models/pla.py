@@ -23,6 +23,7 @@ the covered slice ``[first, last)`` of the sorted array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,15 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
     new one starts at that point.  Duplicate keys equal to the anchor are
     handled by checking their position error directly (slope is
     irrelevant for a zero key delta).
+
+    :func:`_cones` evaluates the cone a block at a time.  A block spans
+    twice the mean segment length so far and doubles while the cone
+    stays open; while segments are short, one block holds the cones of
+    many speculative anchors (:data:`_TABLE_CELLS`) and the chain of cuts
+    walks through it.  The segments equal, float for float, those of the
+    one-point-at-a-time loop.
     """
-    keys = np.asarray(keys, dtype=np.float64)
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
     if keys.ndim != 1:
         raise ValueError("keys must be one-dimensional")
     if epsilon < 0:
@@ -109,55 +117,36 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
     if positions is None:
         positions = np.arange(n, dtype=np.float64)
     else:
-        positions = np.asarray(positions, dtype=np.float64)
+        positions = np.ascontiguousarray(positions, dtype=np.float64)
         if positions.shape != keys.shape:
             raise ValueError("positions must align with keys")
 
     segments: list[Segment] = []
+    limit = max(n >> 3, 1)  # block rows: temporaries stay small next to the keys
     start = 0
-    anchor_key = float(keys[0])
-    anchor_pos = float(positions[0])
-    slope_lo = -np.inf
-    slope_hi = np.inf
-
-    for i in range(1, n):
-        key = float(keys[i])
-        pos = float(positions[i])
-        dk = key - anchor_key
-        if dk <= 0.0:
-            # Duplicate of the anchor key: any slope predicts anchor_pos
-            # here, so the point fits iff |anchor_pos - pos| <= epsilon.
-            if abs(anchor_pos - pos) <= epsilon:
-                continue
-            new_lo, new_hi = 1.0, -1.0  # force a break
-        else:
-            lo_candidate = (pos - epsilon - anchor_pos) / dk
-            hi_candidate = (pos + epsilon - anchor_pos) / dk
-            if not (np.isfinite(lo_candidate) and np.isfinite(hi_candidate)):
-                # Denormal-width gap overflows the slope: force a break so
-                # no segment carries a non-finite model.
-                lo_candidate, hi_candidate = 1.0, -1.0
-            new_lo = max(slope_lo, lo_candidate)
-            new_hi = min(slope_hi, hi_candidate)
-        if new_lo > new_hi:
-            slope = _pick_slope(slope_lo, slope_hi)
-            segments.append(Segment(
-                key=anchor_key, slope=slope, anchor_pos=anchor_pos,
-                first=start, last=i,
-            ))
-            start = i
-            anchor_key = key
-            anchor_pos = pos
-            slope_lo = -np.inf
-            slope_hi = np.inf
-        else:
-            slope_lo, slope_hi = new_lo, new_hi
-
-    slope = _pick_slope(slope_lo, slope_hi)
-    segments.append(Segment(
-        key=anchor_key, slope=slope, anchor_pos=anchor_pos,
-        first=start, last=n,
-    ))
+    with np.errstate(all="ignore"):
+        while start < n:
+            lags = min(2 * -(-start // len(segments)) if segments else 2, limit, n - start)
+            anchors = min(_TABLE_CELLS // lags if 4 * lags * lags <= _TABLE_CELLS else 1, n - start)
+            cuts, run_lo, run_hi, fits = _cones(keys, positions, epsilon, start, anchors, 1, lags,
+                                                -math.inf, math.inf)
+            f = start
+            while f < start + anchors:
+                i = f - start
+                lag, j, block, seed = 1, cuts[i], lags, (-math.inf, math.inf)
+                lo, hi, ok = run_lo[i], run_hi[i], fits[i]
+                while ok[j]:
+                    # Open after the block: extend this cone alone, doubling.
+                    seed = (float(lo[-1]), float(hi[-1]))
+                    lag += block
+                    block = min(2 * block, limit, n + 1 - f - lag)
+                    (j,), lo, hi, ok = _cones(keys, positions, epsilon, f, 1, lag, block, *seed)
+                    lo, hi, ok = lo[0], hi[0], ok[0]
+                slope = _pick_slope(float(lo[j - 1]), float(hi[j - 1])) if j else _pick_slope(*seed)
+                segments.append(Segment(key=float(keys[f]), slope=slope,
+                                        anchor_pos=float(positions[f]), first=f, last=f + lag + j))
+                f += lag + j
+            start = f
     if default_positions and _sanitize.enabled():
         # Dynamic cross-check of the construction guarantee: every index
         # built on these segments searches a window of epsilon + 1
@@ -171,13 +160,83 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
     return segments
 
 
+#: Cells (anchors x points) of one speculative block.  A numpy call costs
+#: as much as touching ~10^3 elements, so a block of a few dozen points
+#: is mostly overhead.  While ``4 * lags**2 <= _TABLE_CELLS`` (a block
+#: resolves ~8 or more segments) it evaluates ``_TABLE_CELLS // lags``
+#: consecutive anchors at once instead of one.
+_TABLE_CELLS = 2048
+
+
+def _cones(
+    keys: np.ndarray, positions: np.ndarray, epsilon: float, first: int, anchors: int,
+    lag: int, width: int, lo: float, hi: float,
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Shrinking cones of ``anchors`` consecutive anchors over one block.
+
+    Row ``i`` is the cone anchored at ``first + i`` and column ``j`` the
+    point ``lag + j`` rows past it.  Returns each row's first column that
+    does not fit (a fitting column if none fails), the running slope
+    bounds after each column (``lo`` / ``hi`` seed them) and the ``fits``
+    mask.  Points past the end read as NaN, which never fits, so a cone
+    that reaches the end closes at ``n``.
+
+    The bounds are ``(p - epsilon - p0) / dk`` and ``(p + epsilon - p0) /
+    dk``, the loop's formula and operation order.  A point with ``dk <=
+    0`` (a duplicate of the anchor) fits iff ``|p0 - p| <= epsilon`` and
+    leaves the bounds alone; a non-finite bound never fits.  Both are
+    masked only when the block holds one.
+    """
+    begin = first + lag
+    end = begin + anchors + width - 1
+    ks, ps = keys[begin:end], positions[begin:end]
+    if end > keys.size:
+        pad = np.full(end - keys.size, np.nan)
+        ks, ps = np.concatenate((ks, pad)), np.concatenate((ps, pad))
+    k0: float | np.ndarray
+    p0: float | np.ndarray
+    if anchors == 1:  # scalars broadcast far cheaper than (1, 1) columns
+        k0, p0 = float(keys[first]), float(positions[first])
+    else:
+        k0, p0 = keys[first:first + anchors, None], positions[first:first + anchors, None]
+
+    def window(col: np.ndarray) -> np.ndarray:
+        # Row i is col[i:i + width], as a strided view.
+        return np.ndarray((anchors, width), np.float64, col, 0, (8, 8))
+
+    dk = window(ks) - k0
+    c_lo = window(ps - epsilon) - p0
+    c_lo /= dk
+    c_hi = window(ps + epsilon) - p0
+    c_hi /= dk
+    ok: np.ndarray | None = None
+    if not (np.minimum.reduce(dk, axis=None) > 0.0
+            and math.isfinite(np.add.reduce(c_hi - c_lo, axis=None))):
+        dup = dk <= 0.0
+        dup_fits = dup & (np.abs(p0 - window(ps)) <= epsilon)
+        ok = (np.isfinite(c_lo) & np.isfinite(c_hi) & ~dup) | dup_fits
+        c_lo[dup_fits] = -np.inf
+        c_hi[dup_fits] = np.inf
+    # Seed with the carried bounds the way the loop's max/min keep them.
+    if not c_lo[0, 0] > lo:
+        c_lo[0, 0] = lo
+    if not c_hi[0, 0] < hi:
+        c_hi[0, 0] = hi
+    np.maximum.accumulate(c_lo, axis=1, out=c_lo)
+    np.minimum.accumulate(c_hi, axis=1, out=c_hi)
+    fits = c_lo <= c_hi
+    if ok is not None:
+        fits &= ok
+    return fits.argmin(axis=1).tolist(), c_lo, c_hi, fits
+
+
 def _pick_slope(lo: float, hi: float) -> float:
     """Pick a representative slope from the feasible interval."""
-    if not np.isfinite(lo) and not np.isfinite(hi):
+    if not math.isfinite(lo) and not math.isfinite(hi):
         return 0.0
-    if not np.isfinite(lo):
+    if not math.isfinite(lo):
         return hi
-    if not np.isfinite(hi):
+    if not math.isfinite(hi):
         return lo
     return (lo + hi) / 2.0
 

@@ -66,6 +66,20 @@ class GreedySpline:
         t = (key - left.key) / (right.key - left.key)
         return left.position + t * (right.position - left.position)
 
+    def predict_array(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`predict`: a knot ``searchsorted`` (the first
+        knot above each key is ``right``) and the same interpolation."""
+        qs = np.asarray(keys, dtype=np.float64)
+        kk = np.array([k.key for k in self.knots])
+        kp = np.array([k.position for k in self.knots])
+        if not kk.size:
+            return np.zeros(qs.shape)
+        right = np.minimum(np.searchsorted(kk, qs, side="right"), kk.size - 1)
+        left = np.maximum(right - 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = kp[left] + (qs - kk[left]) / (kk[right] - kk[left]) * (kp[right] - kp[left])
+        return np.where(qs <= kk[0], kp[0], np.where(qs >= kk[-1], kp[-1], inner))
+
     def segment_index(self, key: float) -> int:
         """Index of the spline segment containing ``key`` (for stats)."""
         knots = self.knots

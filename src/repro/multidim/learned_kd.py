@@ -38,7 +38,10 @@ class _DimIndex:
 
     def locate(self, value: float, stats) -> int:
         stats.model_predictions += 1
-        seg_idx = int(np.searchsorted(self.segment_keys, value, side="right")) - 1
+        # The last segment anchored strictly below ``value`` holds the
+        # start of ``value``'s run of ties, or ends right before it; a
+        # segment anchored inside the run would predict a later position.
+        seg_idx = int(np.searchsorted(self.segment_keys, value, side="left")) - 1
         seg_idx = min(max(seg_idx, 0), len(self.segments) - 1)
         seg = self.segments[seg_idx]
         predicted = int(np.clip(round(seg.predict(value)), seg.first, seg.last - 1))

@@ -98,10 +98,13 @@ class ZMIndex(MultiDimIndex):
         order = np.argsort(codes, kind="mergesort")
         self._codes = codes[order]
         self._points = pts[order]
-        self._values = [vals[i] for i in order]
+        self._values_arr = as_object_array(vals)[order]
+        # A comprehension, not tolist(): tolist() takes one exact-size
+        # block that at this size comes from the heap, where it kept ~50 MB
+        # of the freed build resident after the server closed (restore_mp
+        # peak RSS +14%); the comprehension's growing block does not.
+        self._values = [v for v in self._values_arr]
         self._qcoords = quantize(self._points, self._lo, self._hi, self.bits)
-
-        self._values_arr = as_object_array(self._values)
 
         # Learned 1-d model over the sorted codes (plus column views of
         # the segment parameters for the vectorized batch path).  Codes
@@ -130,7 +133,9 @@ class ZMIndex(MultiDimIndex):
         """Lower-bound position of ``code`` via the learned model."""
         n = self._codes.size
         self.stats.model_predictions += 1
-        seg_idx = int(np.searchsorted(self._segment_keys, code, side="right")) - 1
+        # The last segment anchored strictly below ``code`` holds the start
+        # of ``code``'s run of equal codes, or ends right before it.
+        seg_idx = int(np.searchsorted(self._segment_keys, code, side="left")) - 1
         seg_idx = min(max(seg_idx, 0), len(self._segments) - 1)
         seg = self._segments[seg_idx]
         predicted = int(np.clip(round(seg.predict(float(code))), seg.first, seg.last - 1))
@@ -182,7 +187,7 @@ class ZMIndex(MultiDimIndex):
         in_dom = np.all(pts >= self._lo, axis=1) & np.all(pts <= self._hi, axis=1)
         codes = zencode_array(pts, self._lo, self._hi, self.bits).astype(np.int64)
         seg_idx = np.clip(
-            np.searchsorted(self._segment_keys, codes, side="right") - 1,
+            np.searchsorted(self._segment_keys, codes, side="left") - 1,
             0, len(self._segments) - 1,
         )
         raw = self._seg_slopes[seg_idx] * (codes - self._segment_keys[seg_idx]) \
@@ -245,11 +250,6 @@ class ZMIndex(MultiDimIndex):
         z_lo = self._encode_coords(tuple(lo_q))
         z_hi = self._encode_coords(tuple(hi_q))
         start = self._locate_code(z_lo)
-        # A run of duplicate codes longer than the model's error window
-        # can hide the true lower bound outside it: verify, then fall back.
-        if (start < n and self._codes[start] < z_lo) or \
-                (start > 0 and self._codes[start - 1] >= z_lo):
-            start = int(np.searchsorted(self._codes, z_lo, side="left"))
         end = start + int(np.searchsorted(self._codes[start:], z_hi, side="right"))
         cells = math.prod(b - a + 1 for a, b in zip(lo_q, hi_q))
         if _use_mask(end - start, cells):

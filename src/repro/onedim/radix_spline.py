@@ -70,7 +70,7 @@ class RadixSplineIndex(OneDimIndex):
 
         # Measure the spline's actual max error over the data (also covers
         # the duplicate-key corner where the corridor guarantee is void).
-        preds = np.array([self._spline.predict(float(k)) for k in self._keys])
+        preds = self._spline.predict_array(self._keys)
         self._true_error = int(np.ceil(np.max(np.abs(preds - np.arange(n))))) if n else 0
 
         # Radix table over the normalised key prefix.

@@ -83,19 +83,26 @@ class RMIIndex(OneDimIndex):
         root_pred = self._root_predict_array(self._keys)
         leaf_ids = np.clip((root_pred / n * self.num_models).astype(int), 0, self.num_models - 1)
 
+        # Each leaf fits on its positions in ascending order, as a
+        # ``leaf_ids == m`` mask selects them.  A monotone root (the linear
+        # default) sends the sorted keys to non-decreasing leaves, so each
+        # leaf is a slice; otherwise one stable argsort groups them.
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(leaf_ids, minlength=self.num_models))))
+        monotone = np.all(leaf_ids[:-1] <= leaf_ids[1:])
+        by_leaf = None if monotone else np.argsort(leaf_ids, kind="stable")
         self._leaves = []
         self._leaf_errors = []
-        for m in range(self.num_models):
-            mask = leaf_ids == m
-            if not np.any(mask):
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if lo == hi:
                 self._leaves.append(LinearModel())
                 self._leaf_errors.append(0)
                 continue
-            xs = self._keys[mask]
-            ys = positions[mask]
+            rows = slice(lo, hi) if by_leaf is None else by_leaf[lo:hi]
+            xs = self._keys[rows]
+            ys = positions[rows]
             leaf = LinearModel.fit(xs, ys)
             preds = np.clip(np.rint(leaf.predict_array(xs)), 0, n - 1)
-            err = int(np.max(np.abs(preds - ys))) if xs.size else 0
+            err = int(np.max(np.abs(preds - ys)))
             self._leaves.append(leaf)
             self._leaf_errors.append(err)
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import SortedArrayIndex
-from repro.core.interfaces import IndexStats, MultiDimIndex, NotBuiltError, OneDimIndex
+from repro.core.interfaces import (
+    IndexStats,
+    MultiDimIndex,
+    NotBuiltError,
+    OneDimIndex,
+    as_object_array,
+)
 
 
 class TestIndexStats:
@@ -191,3 +197,27 @@ class TestRangeQueryBatchFallback:
         index = _CountingMultiDim().build(np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError):
             index.range_query_batch(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+class TestAsObjectArray:
+    def test_payloads_stay_single_objects(self):
+        payloads = [(1, 2), [3, 4], np.array([5, 6]), None, "s", 7, {"k": 1}]
+        out = as_object_array(payloads)
+        assert out.dtype == object and out.shape == (len(payloads),)
+        assert all(a is b for a, b in zip(out, payloads))
+
+    def test_equal_shape_sequences_do_not_become_a_matrix(self):
+        out = as_object_array([(1, 2), (3, 4)])
+        assert out.shape == (2,) and out[0] == (1, 2) and isinstance(out[1], tuple)
+
+    def test_ndarray_input(self):
+        rows = np.arange(6).reshape(3, 2)
+        out = as_object_array(rows)
+        assert out.shape == (3,)
+        assert all(np.array_equal(o, r) for o, r in zip(out, rows))
+        scalars = as_object_array(np.arange(3))
+        assert scalars.tolist() == [0, 1, 2] and isinstance(scalars[0], np.int64)
+
+    def test_empty(self):
+        out = as_object_array([])
+        assert out.dtype == object and out.shape == (0,)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import RTreeIndex
+from repro.curves.zorder import zencode_array
 from repro.data import load_nd, range_queries_nd
 from repro.multidim import (
     AIRTreeIndex,
@@ -36,6 +37,16 @@ class TestZMIndex:
         index = ZMIndex().build(uniform_points)
         codes = index._codes
         assert np.all(codes[:-1] <= codes[1:])
+
+    def test_values_follow_code_order_as_single_objects(self, uniform_points):
+        payloads = [(i, str(i)) if i % 3 else [i] for i in range(len(uniform_points))]
+        index = ZMIndex().build(uniform_points, payloads)
+        order = np.argsort(
+            zencode_array(uniform_points, index._lo, index._hi, index.bits).astype(np.int64),
+            kind="mergesort")
+        assert isinstance(index._values, list)
+        assert all(a is payloads[i] for a, i in zip(index._values, order))
+        assert all(a is b for a, b in zip(index._values_arr, index._values))
 
     def test_rejects_code_overflow(self):
         with pytest.raises(ValueError):
