@@ -151,6 +151,11 @@ _SIGNATURES: dict[str, AbstractValue] = {
     "bounded_binary_search": _int((1 << POSITION_BITS) - 1, "pyint"),
     "exponential_search": _int((1 << POSITION_BITS) - 1, "pyint"),
     "bounded_search_batch": _int((1 << POSITION_BITS) - 1, "int64"),
+    # LearnedColumn's last mile returns what the bounded search does.
+    "locate": _int((1 << POSITION_BITS) - 1, "pyint"),
+    "search": _int((1 << POSITION_BITS) - 1, "pyint"),
+    "locate_batch": _int((1 << POSITION_BITS) - 1, "int64"),
+    "search_batch": _int((1 << POSITION_BITS) - 1, "int64"),
     # Sanctioned guarded cast (repro.core.numeric).
     "exact_float64": _float(),
     "dequantize": _float(),

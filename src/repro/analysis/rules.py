@@ -532,8 +532,7 @@ def _top_level_bindings(tree: ast.Module) -> tuple[set[str], bool]:
     "dunder-all-consistency",
     Severity.WARNING,
     "Public modules must declare __all__ and every listed name must exist: "
-    "a stale __all__ silently breaks `from module import *` users and the "
-    "persistence layer's export discovery.",
+    "a stale __all__ silently breaks `from module import *` users.",
     ("api",),
 )
 def check_dunder_all(ctx: AnalysisContext) -> Iterator[Finding]:

@@ -29,7 +29,7 @@ The manifest itself is plain JSON, so a serving fleet can audit what it
 is about to load without executing anything.
 
 Security note: the payload is a pickle — only load artifacts produced
-by code you trust, exactly like :mod:`repro.core.persistence`.
+by code you trust.
 """
 
 from __future__ import annotations

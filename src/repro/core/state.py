@@ -23,8 +23,8 @@ index.  Passing substitute ``arrays`` — for example zero-copy views of a
 over memory owned by someone else; that is how the multi-process serving
 backend maps a shard without rebuilding it (see :mod:`repro.serve.shm`).
 
-Security note: like :mod:`repro.core.persistence`, the payload is a
-pickle — only reconstruct states produced by code you trust.
+Security note: the payload is a pickle — only reconstruct states
+produced by code you trust.
 """
 
 from __future__ import annotations

@@ -17,10 +17,6 @@ from repro.curves.zorder import interleave_array
 __all__ = ["hilbert_encode", "hilbert_decode", "hilbert_encode_array"]
 
 
-def _coords_to_transpose(coords: tuple[int, ...], bits: int) -> list[int]:
-    return list(coords)
-
-
 def hilbert_encode(coords: tuple[int, ...] | np.ndarray, bits: int) -> int:
     """Hilbert index of integer ``coords`` (each in [0, 2^bits - 1])."""
     x = [int(c) for c in coords]

@@ -234,15 +234,6 @@ def zdecode_array(codes: np.ndarray, lo, hi, dims: int, bits: int) -> np.ndarray
     return dequantize(coords, np.asarray(lo), np.asarray(hi), bits)
 
 
-def _load_bits(code: int, dim: int, dims: int, bits: int) -> int:
-    """Extract dimension ``dim``'s coordinate from a Morton code."""
-    coord = 0
-    for bit in range(bits):
-        shift = (bits - 1 - bit) * dims + (dims - 1 - dim)
-        coord = (coord << 1) | ((code >> shift) & 1)
-    return coord
-
-
 def _set_bit_pattern(value: int, bit: int, kind: str) -> int:
     """BIGMIN helpers: force bit patterns below position ``bit``.
 

@@ -19,18 +19,30 @@ Two algorithms are provided:
 
 Each :class:`Segment` stores the anchor key, slope, anchor position, and
 the covered slice ``[first, last)`` of the sorted array.
+
+:class:`LearnedColumn` is the survey's pure learned index over one sorted
+column — the segments, their error bound and the bounded last-mile
+search — written once for every family that searches a sorted column
+with PLA segments.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.core import sanitize as _sanitize
+from repro.core.numeric import exact_float64
 
-__all__ = ["Segment", "segment_stream", "segment_greedy_splits", "verify_epsilon"]
+if TYPE_CHECKING:
+    from repro.core.interfaces import IndexStats
+
+__all__ = ["LearnedColumn", "Segment", "segment_stream", "segment_greedy_splits",
+           "verify_epsilon"]
 
 
 @dataclass(frozen=True)
@@ -241,6 +253,123 @@ def _pick_slope(lo: float, hi: float) -> float:
     return (lo + hi) / 2.0
 
 
+class LearnedColumn:
+    """Epsilon-bounded PLA segments over a sorted key column.
+
+    The column holds only per-segment parameters — anchor keys (in the
+    dtype of the fitted keys), slopes, anchor positions and covered
+    slices ``[first, last)`` — as numpy columns for the batch calls and
+    as Python rows for the scalar ones.  Callers keep the sorted keys and
+    pass them to every search, so an exported index shares its key
+    column instead of pickling it inside the model.
+
+    Three calls, each with a batch twin:
+
+    * :meth:`route` — the last segment anchored strictly below ``q``.
+      It holds the start of ``q``'s run of equal keys, or ends right
+      before it; a segment anchored inside the run would predict a
+      position past the run's start.
+    * :meth:`search` — predict with one segment, clamp into it, then a
+      bounded binary search over ``epsilon + 1`` positions.
+    * :meth:`locate` — :meth:`search` after :meth:`route`, which is
+      ``np.searchsorted(keys, q, side="left")``.
+
+    Non-finite queries: a prediction that is not finite (a +-inf query,
+    NaN, an overflowing slope) goes to the segment end it points at, NaN
+    to the last position; NaN routes to the last segment and orders after
+    every key, so ``locate`` answers ``len(keys)`` for it, as
+    ``searchsorted`` does.  An exact-match probe then answers "absent".
+    """
+
+    __slots__ = ("epsilon", "keys", "slopes", "anchors", "firsts", "lasts",
+                 "key_list", "_rows")
+
+    def __init__(self, keys: np.ndarray, epsilon: int) -> None:
+        keys = np.asarray(keys)
+        segments = segment_stream(exact_float64(keys, what="learned column keys"),
+                                  float(epsilon))
+        firsts = np.array([seg.first for seg in segments], dtype=np.int64)
+        self._set(int(epsilon), keys[firsts],
+                  np.array([seg.slope for seg in segments], dtype=np.float64),
+                  np.array([seg.anchor_pos for seg in segments], dtype=np.float64),
+                  firsts, np.array([seg.last for seg in segments], dtype=np.int64))
+
+    def _set(self, epsilon: int, keys: np.ndarray, slopes: np.ndarray,
+             anchors: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> None:
+        self.epsilon = epsilon
+        self.keys, self.slopes, self.anchors = keys, slopes, anchors
+        self.firsts, self.lasts = firsts, lasts
+        #: Anchor keys as Python floats, for the scalar route and PGM's walk.
+        self.key_list: list[float] = exact_float64(keys).tolist()
+        self._rows = list(zip(self.key_list, slopes.tolist(), anchors.tolist(),
+                              firsts.tolist(), (lasts - 1).tolist()))
+
+    def __getstate__(self) -> tuple[Any, ...]:
+        # The rows are derived; pickling only the columns keeps it compact.
+        return (self.epsilon, self.keys, self.slopes, self.anchors, self.firsts, self.lasts)
+
+    def __setstate__(self, state: tuple[Any, ...]) -> None:
+        self._set(*state)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @property
+    def size_bytes(self) -> int:
+        """40 bytes per segment (see :attr:`Segment.size_bytes`)."""
+        return 40 * len(self._rows)
+
+    # -- scalar ---------------------------------------------------------------
+    def route(self, q: float) -> int:
+        """The last segment anchored strictly below ``q`` (0 if none)."""
+        seg = bisect_left(self.key_list, q) - 1
+        if seg < 0:
+            return 0 if q == q else len(self._rows) - 1  # NaN routes last
+        return seg
+
+    def predict(self, seg: int, q: float) -> float:
+        """Segment ``seg``'s raw position for ``q``; a non-finite one goes
+        to the end of the segment it points at."""
+        key, slope, anchor, first, end = self._rows[seg]
+        raw = slope * (q - key) + anchor
+        if math.isfinite(raw):
+            return raw
+        return first if raw < 0 else end
+
+    def search(self, keys: np.ndarray, seg: int, q: float, stats: IndexStats) -> int:
+        """Lower-bound position of ``q`` in ``keys`` from segment ``seg``."""
+        _, _, _, first, end = self._rows[seg]
+        predicted = min(max(round(self.predict(seg, q)), first), end)
+        stats.model_predictions += 1
+        return bounded_binary_search(keys, q, predicted, self.epsilon + 1, stats)
+
+    def locate(self, keys: np.ndarray, q: float, stats: IndexStats) -> int:
+        """Lower-bound position of ``q`` in the sorted ``keys``."""
+        return self.search(keys, self.route(q), q, stats)
+
+    # -- batch ------------------------------------------------------------------
+    def route_batch(self, qs: np.ndarray) -> np.ndarray:
+        """:meth:`route` per row."""
+        return np.maximum(np.searchsorted(self.keys, qs, side="left") - 1, 0)
+
+    def search_batch(self, keys: np.ndarray, seg: np.ndarray | int, qs: np.ndarray,
+                     stats: IndexStats) -> np.ndarray:
+        """:meth:`search` per row; ``seg`` is one segment or one per row."""
+        raw = self.slopes[seg] * (qs - self.keys[seg]) + self.anchors[seg]
+        firsts, lasts = self.firsts[seg], self.lasts[seg]
+        finite = np.isfinite(raw)
+        if not finite.all():
+            with np.errstate(invalid="ignore"):  # NaN compares false: it goes last
+                raw = np.where(finite, raw, np.where(raw < 0, firsts, lasts - 1))
+        predicted = np.minimum(np.maximum(np.rint(raw), firsts), lasts - 1).astype(np.int64)
+        stats.model_predictions += qs.size
+        return bounded_search_batch(keys, qs, predicted, self.epsilon + 1, stats)
+
+    def locate_batch(self, keys: np.ndarray, qs: np.ndarray, stats: IndexStats) -> np.ndarray:
+        """:meth:`locate` per row."""
+        return self.search_batch(keys, self.route_batch(qs), qs, stats)
+
+
 def segment_greedy_splits(keys: np.ndarray, segment_size: int) -> list[Segment]:
     """Baseline: fixed-size segments with endpoint-fit lines (no guarantee).
 
@@ -284,3 +413,8 @@ def verify_epsilon(keys: np.ndarray, segments: list[Segment], epsilon: float) ->
             worst = max(worst, float(errs.max()))
     assert covered == n, "segments must cover all keys"
     return worst
+
+
+# Imported last: the search helpers live in ``repro.onedim``, whose
+# package init imports the indexes that import this module.
+from repro.onedim._search import bounded_binary_search, bounded_search_batch  # noqa: E402

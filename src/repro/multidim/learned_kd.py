@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.interfaces import MultiDimIndex
-from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search
+from repro.models.pla import LearnedColumn
 
 __all__ = ["LearnedKDIndex"]
 
@@ -26,30 +25,17 @@ __all__ = ["LearnedKDIndex"]
 class _DimIndex:
     """Learned 1-d index over one dimension's sorted values."""
 
-    __slots__ = ("sorted_vals", "row_ids", "segments", "segment_keys", "epsilon")
+    __slots__ = ("sorted_vals", "row_ids", "model")
 
     def __init__(self, column: np.ndarray, epsilon: int) -> None:
         order = np.argsort(column, kind="mergesort")
         self.sorted_vals = column[order]
         self.row_ids = order
-        self.epsilon = epsilon
-        self.segments: list[Segment] = segment_stream(self.sorted_vals, float(epsilon))
-        self.segment_keys = np.array([seg.key for seg in self.segments])
-
-    def locate(self, value: float, stats) -> int:
-        stats.model_predictions += 1
-        # The last segment anchored strictly below ``value`` holds the
-        # start of ``value``'s run of ties, or ends right before it; a
-        # segment anchored inside the run would predict a later position.
-        seg_idx = int(np.searchsorted(self.segment_keys, value, side="left")) - 1
-        seg_idx = min(max(seg_idx, 0), len(self.segments) - 1)
-        seg = self.segments[seg_idx]
-        predicted = int(np.clip(round(seg.predict(value)), seg.first, seg.last - 1))
-        return bounded_binary_search(self.sorted_vals, value, predicted, self.epsilon + 1, stats)
+        self.model = LearnedColumn(self.sorted_vals, epsilon)
 
     @property
     def size_bytes(self) -> int:
-        return sum(seg.size_bytes for seg in self.segments) + self.row_ids.size * 16
+        return self.model.size_bytes + self.row_ids.size * 16
 
 
 class LearnedKDIndex(MultiDimIndex):
@@ -83,7 +69,7 @@ class LearnedKDIndex(MultiDimIndex):
         for d in range(self.dims):
             self._dim_indexes.append(_DimIndex(pts[:, d].copy(), self.epsilon))
         self.stats.size_bytes = sum(di.size_bytes for di in self._dim_indexes)
-        self.stats.extra["segments_per_dim"] = [len(di.segments) for di in self._dim_indexes]
+        self.stats.extra["segments_per_dim"] = [len(di.model) for di in self._dim_indexes]
         return self
 
     def point_query(self, point: Sequence[float]) -> object | None:
@@ -94,7 +80,7 @@ class LearnedKDIndex(MultiDimIndex):
             return None
         q = np.asarray(point, dtype=np.float64)
         di = self._dim_indexes[0]
-        pos = di.locate(float(q[0]), self.stats)
+        pos = di.model.locate(di.sorted_vals, float(q[0]), self.stats)
         while pos < di.sorted_vals.size and di.sorted_vals[pos] == q[0]:
             row = int(di.row_ids[pos])
             self.stats.keys_scanned += 1
@@ -115,7 +101,7 @@ class LearnedKDIndex(MultiDimIndex):
         best_dim = 0
         best_span: tuple[int, int] | None = None
         for d, di in enumerate(self._dim_indexes):
-            first = di.locate(float(lo[d]), self.stats)
+            first = di.model.locate(di.sorted_vals, float(lo[d]), self.stats)
             last = int(np.searchsorted(di.sorted_vals, hi[d], side="right"))
             if best_span is None or (last - first) < (best_span[1] - best_span[0]):
                 best_span = (first, last)

@@ -178,38 +178,59 @@ class LISAIndex(MutableMultiDimIndex):
         self.stats.extra["shards"] = len(self._shards)
 
     def _shard_for(self, m: float) -> int:
-        idx = bisect.bisect_right(self._shard_starts, m) - 1
+        """The last shard whose start is strictly below ``m`` (0 if none).
+
+        A run of mapped values ``>= m`` can start in that shard but in no
+        earlier one: every shard's start bounds the shard before it.
+        """
+        idx = bisect.bisect_left(self._shard_starts, m) - 1
         self.stats.comparisons += max(1, len(self._shard_starts).bit_length())
         return max(idx, 0)
+
+    def _find(self, q: np.ndarray, m: float, si: int) -> tuple[int, int] | None:
+        """``(shard, row)`` of the stored point ``q`` whose mapped value is
+        ``m``, scanning from shard ``si`` (duplicate-bounded).
+
+        The candidates are the run of mapped values within ``m +- 1e-9``;
+        the scan continues into the following shards while the run does.
+        """
+        lo, hi = m - 1e-9, m + 1e-9
+        for shard_idx in range(si, len(self._shards)):
+            mapped = self._shards[shard_idx].mapped
+            if mapped and mapped[0] > hi:
+                break
+            self.stats.nodes_visited += 1
+            i = bisect.bisect_left(mapped, lo)
+            while i < len(mapped) and mapped[i] <= hi:
+                self.stats.keys_scanned += 1
+                if np.array_equal(self._shards[shard_idx].points[i], q):
+                    return shard_idx, i
+                i += 1
+            if i < len(mapped):
+                break
+        return None
 
     # -- queries -------------------------------------------------------------------
     def point_query(self, point: Sequence[float]) -> object | None:
         """Mapped-value shard routing plus a duplicate-bounded scan of
-        the equal-mapped-value run inside one shard."""
+        the equal-mapped-value run, from the shard holding its start."""
         self._require_built()
         if not self._shards:
             return None
         q = np.asarray(point, dtype=np.float64)
         m = self._mapped(q)
-        shard = self._shards[self._shard_for(m)]
-        self.stats.nodes_visited += 1
-        i = bisect.bisect_left(shard.mapped, m - 1e-9)
-        while i < len(shard.mapped) and shard.mapped[i] <= m + 1e-9:
-            self.stats.keys_scanned += 1
-            if np.array_equal(shard.points[i], q):
-                return shard.values[i]
-            i += 1
-        return None
+        found = self._find(q, m, self._shard_for(m - 1e-9))
+        return None if found is None else self._shards[found[0]].values[found[1]]
 
     def point_query_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorized batch point queries (element-wise equal to scalar).
 
         Maps the whole batch with :meth:`_mapped_batch`, routes every
-        query to its shard with one ``searchsorted`` over the shard
-        starts, then resolves each shard group with a masked equality
-        kernel over the shard's stacked arrays — the same candidate
-        window (``mapped`` within ``+-1e-9``) and the same first-match
-        scan order as the scalar path.
+        query to the shard holding the start of its candidate window
+        (``mapped`` within ``+-1e-9``) with one ``searchsorted`` over the
+        shard starts, then resolves each shard group with a masked
+        equality kernel over the shard's stacked arrays; ties and windows
+        that run past their shard's end take the scalar :meth:`_find`.
         """
         self._require_built()
         pts = np.asarray(points, dtype=np.float64)
@@ -221,7 +242,7 @@ class LISAIndex(MutableMultiDimIndex):
             return out
         mapped = self._mapped_batch(pts)
         starts = np.asarray(self._shard_starts)
-        sidx = np.maximum(np.searchsorted(starts, mapped, side="right") - 1, 0)
+        sidx = np.maximum(np.searchsorted(starts, mapped - 1e-9, side="left") - 1, 0)
         self.stats.comparisons += m * max(1, len(self._shard_starts).bit_length())
         self.stats.nodes_visited += m
         order = np.argsort(sidx, kind="stable")
@@ -229,27 +250,26 @@ class LISAIndex(MutableMultiDimIndex):
         bounds = np.concatenate(([0], np.nonzero(np.diff(ss))[0] + 1, [m]))
         for s, e in zip(bounds[:-1], bounds[1:]):
             gidx = order[s:e]
-            shard = self._shards[int(sidx[gidx[0]])]
-            if not shard.mapped:
-                continue
-            shard_mapped, shard_pts, shard_vals = shard.arrays()
-            qm = mapped[gidx]
-            w_lo = np.searchsorted(shard_mapped, qm - 1e-9, side="left")
-            w_hi = np.searchsorted(shard_mapped, qm + 1e-9, side="right")
-            has = w_lo < w_hi
-            cand = np.minimum(w_lo, shard_mapped.size - 1)
-            first = has & np.all(shard_pts[cand] == pts[gidx], axis=1)
-            self.stats.keys_scanned += int(has.sum())
-            out[gidx[first]] = shard_vals[cand[first]]
-            # Mapped-value ties: continue the scalar candidate scan.
-            for t in np.nonzero(has & ~first)[0]:
-                j = int(w_lo[t]) + 1
-                while j < int(w_hi[t]):
-                    self.stats.keys_scanned += 1
-                    if np.array_equal(shard_pts[j], pts[gidx[t]]):
-                        out[gidx[t]] = shard_vals[j]
-                        break
-                    j += 1
+            si = int(sidx[gidx[0]])
+            shard = self._shards[si]
+            rest = gidx
+            if shard.mapped:
+                shard_mapped, shard_pts, shard_vals = shard.arrays()
+                qm = mapped[gidx]
+                w_lo = np.searchsorted(shard_mapped, qm - 1e-9, side="left")
+                w_hi = np.searchsorted(shard_mapped, qm + 1e-9, side="right")
+                has = w_lo < w_hi
+                cand = np.minimum(w_lo, shard_mapped.size - 1)
+                first = has & np.all(shard_pts[cand] == pts[gidx], axis=1)
+                self.stats.keys_scanned += int(has.sum())
+                out[gidx[first]] = shard_vals[cand[first]]
+                # Mapped-value ties, and windows that run past the shard's
+                # end, take the scalar scan.
+                rest = gidx[~first & (has | (w_hi == shard_mapped.size))]
+            for t in rest:
+                found = self._find(pts[t], float(mapped[t]), si)
+                if found is not None:
+                    out[t] = self._shards[found[0]].values[found[1]]
         return out
 
     def range_query(self, low: Sequence[float], high: Sequence[float]) -> list[tuple[tuple[float, ...], object]]:
@@ -286,7 +306,7 @@ class LISAIndex(MutableMultiDimIndex):
         si = self._shard_for(m_lo)
         for shard_idx in range(si, len(self._shards)):
             shard = self._shards[shard_idx]
-            if not shard.mapped or shard.mapped[0] >= m_hi:
+            if shard.mapped and shard.mapped[0] >= m_hi:
                 break
             self.stats.nodes_visited += 1
             i = bisect.bisect_left(shard.mapped, m_lo)
@@ -316,15 +336,14 @@ class LISAIndex(MutableMultiDimIndex):
             self._shards = [shard]
             self._shard_starts = [0.0]
         m = self._mapped(p)
+        found = self._find(p, m, self._shard_for(m - 1e-9))
+        if found is not None:
+            shard = self._shards[found[0]]
+            shard.values[found[1]] = value
+            shard.invalidate()
+            return
         shard_idx = self._shard_for(m)
         shard = self._shards[shard_idx]
-        i = bisect.bisect_left(shard.mapped, m - 1e-9)
-        while i < len(shard.mapped) and shard.mapped[i] <= m + 1e-9:
-            if np.array_equal(shard.points[i], p):
-                shard.values[i] = value
-                shard.invalidate()
-                return
-            i += 1
         i = bisect.bisect_left(shard.mapped, m)
         shard.mapped.insert(i, m)
         shard.points.insert(i, p.copy())
@@ -347,7 +366,8 @@ class LISAIndex(MutableMultiDimIndex):
         shard.values = shard.values[:mid]
         shard.invalidate()
         self._shards.insert(shard_idx + 1, right)
-        self._shard_starts = [s.mapped[0] if s.mapped else 0.0 for s in self._shards]
+        # Every start stays a separator; an emptied shard keeps its own.
+        self._shard_starts.insert(shard_idx + 1, right.mapped[0])
         self.stats.extra["splits"] = self.stats.extra.get("splits", 0) + 1
 
     def delete(self, point: Sequence[float]) -> bool:
@@ -356,18 +376,16 @@ class LISAIndex(MutableMultiDimIndex):
             return False
         p = np.asarray(point, dtype=np.float64)
         m = self._mapped(p)
-        shard = self._shards[self._shard_for(m)]
-        i = bisect.bisect_left(shard.mapped, m - 1e-9)
-        while i < len(shard.mapped) and shard.mapped[i] <= m + 1e-9:
-            if np.array_equal(shard.points[i], p):
-                del shard.mapped[i]
-                del shard.points[i]
-                del shard.values[i]
-                shard.invalidate()
-                self._size -= 1
-                return True
-            i += 1
-        return False
+        found = self._find(p, m, self._shard_for(m - 1e-9))
+        if found is None:
+            return False
+        shard = self._shards[found[0]]
+        del shard.mapped[found[1]]
+        del shard.points[found[1]]
+        del shard.values[found[1]]
+        shard.invalidate()
+        self._size -= 1
+        return True
 
     @property
     def num_shards(self) -> int:

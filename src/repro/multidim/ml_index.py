@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.interfaces import MultiDimIndex
-from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search
+from repro.models.pla import LearnedColumn
 
 __all__ = ["MLIndex"]
 
@@ -58,8 +57,7 @@ class MLIndex(MultiDimIndex):
         self._keys = np.empty(0)
         self._pivots = np.empty((0, 2))
         self._stripe = 1.0
-        self._segments: list[Segment] = []
-        self._segment_keys = np.empty(0)
+        self._model = LearnedColumn(self._keys, epsilon)
 
     def build(self, points: np.ndarray, values: Sequence[object] | None = None) -> "MLIndex":
         pts, vals = self._prepare_points(points, values)
@@ -83,24 +81,14 @@ class MLIndex(MultiDimIndex):
         self._points = pts[order]
         self._values = [vals[i] for i in order]
 
-        self._segments = segment_stream(self._keys, float(self.epsilon))
-        self._segment_keys = np.array([seg.key for seg in self._segments])
+        self._model = LearnedColumn(self._keys, self.epsilon)
         self.stats.size_bytes = (
-            sum(seg.size_bytes for seg in self._segments)
+            self._model.size_bytes
             + self._pivots.size * 8
             + 8 * int(self._keys.size)
         )
-        self.stats.extra["segments"] = len(self._segments)
+        self.stats.extra["segments"] = len(self._model)
         return self
-
-    # -- learned locate -----------------------------------------------------------
-    def _locate(self, key: float) -> int:
-        self.stats.model_predictions += 1
-        seg_idx = int(np.searchsorted(self._segment_keys, key, side="right")) - 1
-        seg_idx = min(max(seg_idx, 0), len(self._segments) - 1)
-        seg = self._segments[seg_idx]
-        predicted = int(np.clip(round(seg.predict(key)), seg.first, seg.last - 1))
-        return bounded_binary_search(self._keys, key, predicted, self.epsilon + 1, self.stats)
 
     def _key_of(self, point: np.ndarray) -> float:
         """Scalarize a point as (nearest pivot, distance) — iDistance.
@@ -121,7 +109,7 @@ class MLIndex(MultiDimIndex):
             return None
         q = np.asarray(point, dtype=np.float64)
         key = self._key_of(q)
-        pos = self._locate(key)
+        pos = self._model.locate(self._keys, key, self.stats)
         # Distance collisions are possible: scan the equal-key run, with a
         # small tolerance for floating-point distance jitter.
         i = pos
@@ -160,7 +148,7 @@ class MLIndex(MultiDimIndex):
             # Within-partition distances never reach `stripe`, so the scan
             # can stop at the stripe boundary even for huge boxes.
             hi_key = pivot_id * self._stripe + min(d_max, self._stripe)
-            i = self._locate(lo_key - 1e-9)
+            i = self._model.locate(self._keys, lo_key - 1e-9, self.stats)
             while i < self._keys.size and self._keys[i] <= hi_key + 1e-9:
                 p = self._points[i]
                 self.stats.keys_scanned += 1

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.interfaces import MutableMultiDimIndex
 from repro.curves.hilbert import hilbert_encode
-from repro.models.pla import Segment, segment_stream
+from repro.models.pla import LearnedColumn
 
 __all__ = ["RSMIIndex"]
 
@@ -69,8 +69,7 @@ class RSMIIndex(MutableMultiDimIndex):
         self._boundaries: list[np.ndarray] = []
         self._blocks: list[_Block] = []
         self._block_starts: list[int] = []
-        self._segments: list[Segment] = []
-        self._segment_keys = np.empty(0)
+        self._model = LearnedColumn(np.empty(0), epsilon)
         self._size = 0
 
     # -- rank space ---------------------------------------------------------
@@ -112,25 +111,22 @@ class RSMIIndex(MutableMultiDimIndex):
             self._block_starts.append(block.codes[0])
 
         # Learned routing model over the sorted code sequence.
-        self._segments = segment_stream(codes[order].astype(np.float64), float(self.epsilon))
-        self._segment_keys = np.array([seg.key for seg in self._segments])
+        self._model = LearnedColumn(codes[order], self.epsilon)
         self.stats.size_bytes = (
             sum(b.size * 8 for b in self._boundaries)
-            + sum(seg.size_bytes for seg in self._segments)
+            + self._model.size_bytes
             + sum(len(b) * (8 + 8 * self.dims) + 24 for b in self._blocks)
         )
         self.stats.extra["blocks"] = len(self._blocks)
-        self.stats.extra["segments"] = len(self._segments)
+        self.stats.extra["segments"] = len(self._model)
         return self
 
     def _block_for(self, code: int) -> int:
         """Learned block hint plus an error-bounded repair scan against
         the block-start directory (steps counted as corrections)."""
-        if self._segments:
+        if len(self._model):
             self.stats.model_predictions += 1
-            seg_idx = int(np.searchsorted(self._segment_keys, code, side="right")) - 1
-            seg_idx = min(max(seg_idx, 0), len(self._segments) - 1)
-            hint = int(self._segments[seg_idx].predict(float(code))) // self.block_size
+            hint = int(self._model.predict(self._model.route(code), code)) // self.block_size
         else:
             hint = 0
         idx = min(max(hint, 0), len(self._blocks) - 1)

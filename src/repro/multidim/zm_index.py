@@ -23,11 +23,9 @@ from repro.core.interfaces import (
     box_mask,
     point_distances,
 )
-from repro.core.numeric import exact_float64
 from repro.curves.capacity import require_code_budget
 from repro.curves.zorder import bigmin, interleave, quantize, zencode_array
-from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search, bounded_search_batch
+from repro.models.pla import LearnedColumn
 
 __all__ = ["ZMIndex"]
 
@@ -74,12 +72,7 @@ class ZMIndex(MultiDimIndex):
         self._qcoords = np.empty((0, 2), dtype=np.int64)
         self._lo = np.zeros(2)
         self._hi = np.ones(2)
-        self._segments: list[Segment] = []
-        self._segment_keys = np.empty(0, dtype=np.int64)
-        self._seg_slopes = np.empty(0)
-        self._seg_anchors = np.empty(0)
-        self._seg_firsts = np.empty(0, dtype=np.int64)
-        self._seg_lasts = np.empty(0, dtype=np.int64)
+        self._model = LearnedColumn(self._codes, epsilon)
         self._values_arr = np.empty(0, dtype=object)
 
     def build(self, points: np.ndarray, values: Sequence[object] | None = None) -> "ZMIndex":
@@ -106,40 +99,19 @@ class ZMIndex(MultiDimIndex):
         self._values = [v for v in self._values_arr]
         self._qcoords = quantize(self._points, self._lo, self._hi, self.bits)
 
-        # Learned 1-d model over the sorted codes (plus column views of
-        # the segment parameters for the vectorized batch path).  Codes
-        # can be up to 62 bits wide; exact_float64 rejects any build
-        # whose codes would alias under the model's float64 arithmetic.
-        self._segments = segment_stream(
-            exact_float64(self._codes, what="zm-index code keys"), float(self.epsilon)
-        )
-        self._seg_slopes = np.array([seg.slope for seg in self._segments])
-        self._seg_anchors = np.array([seg.anchor_pos for seg in self._segments])
-        self._seg_firsts = np.array([seg.first for seg in self._segments], dtype=np.int64)
-        self._seg_lasts = np.array([seg.last for seg in self._segments], dtype=np.int64)
-        # Segment routing keys stay int64 (each anchor is the code at the
-        # segment's first position) so searchsorted compares codes to
-        # codes without a dtype mix.
-        self._segment_keys = self._codes[self._seg_firsts]
-        self.stats.size_bytes = (
-            sum(seg.size_bytes for seg in self._segments)
-            + 8 * int(self._codes.size)  # the code column
-        )
-        self.stats.extra["segments"] = len(self._segments)
+        # Learned 1-d model over the sorted codes.  Codes can be up to 62
+        # bits wide; the column rejects any build whose codes would alias
+        # under its float64 arithmetic, and keeps its anchor keys int64 so
+        # routing compares codes to codes without a dtype mix.
+        self._model = LearnedColumn(self._codes, self.epsilon)
+        self.stats.size_bytes = self._model.size_bytes + 8 * int(self._codes.size)
+        self.stats.extra["segments"] = len(self._model)
         return self
 
     # -- learned locate ------------------------------------------------------
     def _locate_code(self, code: int) -> int:
         """Lower-bound position of ``code`` via the learned model."""
-        n = self._codes.size
-        self.stats.model_predictions += 1
-        # The last segment anchored strictly below ``code`` holds the start
-        # of ``code``'s run of equal codes, or ends right before it.
-        seg_idx = int(np.searchsorted(self._segment_keys, code, side="left")) - 1
-        seg_idx = min(max(seg_idx, 0), len(self._segments) - 1)
-        seg = self._segments[seg_idx]
-        predicted = int(np.clip(round(seg.predict(float(code))), seg.first, seg.last - 1))
-        return bounded_binary_search(self._codes, code, predicted, self.epsilon + 1, self.stats)
+        return self._model.locate(self._codes, code, self.stats)
 
     def _encode_point(self, point: np.ndarray) -> int:
         q = quantize(point[None, :], self._lo, self._hi, self.bits)[0]
@@ -169,8 +141,7 @@ class ZMIndex(MultiDimIndex):
         """Vectorized batch point queries (element-wise equal to scalar).
 
         One ``zencode_array`` call projects the whole batch onto the
-        curve, one segment-routing ``searchsorted`` plus an
-        epsilon-bounded :func:`bounded_search_batch` locates every code,
+        curve, one :meth:`LearnedColumn.locate_batch` locates every code,
         and a vectorized row comparison resolves the (dominant) case of a
         single point per cell; only queries landing in a multi-point cell
         fall back to the scalar run scan.
@@ -186,18 +157,7 @@ class ZMIndex(MultiDimIndex):
             return out
         in_dom = np.all(pts >= self._lo, axis=1) & np.all(pts <= self._hi, axis=1)
         codes = zencode_array(pts, self._lo, self._hi, self.bits).astype(np.int64)
-        seg_idx = np.clip(
-            np.searchsorted(self._segment_keys, codes, side="left") - 1,
-            0, len(self._segments) - 1,
-        )
-        raw = self._seg_slopes[seg_idx] * (codes - self._segment_keys[seg_idx]) \
-            + self._seg_anchors[seg_idx]
-        predicted = np.clip(
-            np.rint(raw), self._seg_firsts[seg_idx], self._seg_lasts[seg_idx] - 1
-        ).astype(np.int64)
-        self.stats.model_predictions += m
-        pos = bounded_search_batch(self._codes, codes, predicted,
-                                   self.epsilon + 1, self.stats)
+        pos = self._model.locate_batch(self._codes, codes, self.stats)
         cand = np.minimum(pos, n - 1)
         code_hit = in_dom & (pos < n) & (self._codes[cand] == codes)
         first_match = code_hit & np.all(self._points[cand] == pts, axis=1)

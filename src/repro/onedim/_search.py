@@ -31,12 +31,16 @@ __all__ = [
 
 
 def lower_bound(keys: np.ndarray, key: float, lo: int, hi: int, stats: IndexStats | None = None) -> int:
-    """First index in [lo, hi) with ``keys[idx] >= key`` (plain binary)."""
+    """First index in [lo, hi) with ``keys[idx] >= key`` (plain binary).
+
+    A NaN ``key`` orders after every key (it answers ``hi``), as in
+    ``searchsorted`` and :func:`windowed_lower_bound`.
+    """
     while lo < hi:
         mid = (lo + hi) // 2
         if stats is not None:
             stats.comparisons += 1
-        if keys[mid] < key:
+        if not keys[mid] >= key:
             lo = mid + 1
         else:
             hi = mid

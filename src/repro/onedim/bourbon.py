@@ -13,30 +13,12 @@ construction at run creation and in-run search.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.baselines.lsm import LSMTreeIndex, SortedRun
-from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search
+from repro.models.pla import LearnedColumn
 
 __all__ = ["BourbonLSM"]
-
-
-class _RunModel:
-    """PLA segments + segment-key directory for one sorted run."""
-
-    __slots__ = ("segments", "first_keys", "epsilon")
-
-    def __init__(self, segments: list[Segment], epsilon: int) -> None:
-        self.segments = segments
-        self.first_keys = np.array([seg.key for seg in segments])
-        self.epsilon = epsilon
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(seg.size_bytes for seg in self.segments) + 8 * len(self.segments)
 
 
 class BourbonLSM(LSMTreeIndex):
@@ -56,31 +38,22 @@ class BourbonLSM(LSMTreeIndex):
         self.epsilon = epsilon
         super().__init__(memtable_limit=memtable_limit, max_runs=max_runs)
 
-    def _make_run_index(self, keys: np.ndarray) -> _RunModel | None:
+    def _make_run_index(self, keys: np.ndarray) -> LearnedColumn | None:
         if keys.size == 0:
             return None
-        segments = segment_stream(keys, float(self.epsilon))
         self.stats.extra["models_built"] = self.stats.extra.get("models_built", 0) + 1
-        return _RunModel(segments, self.epsilon)
+        return LearnedColumn(keys, self.epsilon)
 
     def _search_run(self, run: SortedRun, key: float) -> int:
-        model: _RunModel | None = run.model
-        if model is None or not model.segments:
+        model = run.model
+        if not isinstance(model, LearnedColumn):
             return super()._search_run(run, key)
-        self.stats.model_predictions += 1
-        # Route to the covering segment (last first-key <= key).
-        seg_idx = int(np.searchsorted(model.first_keys, key, side="right")) - 1
-        seg_idx = min(max(seg_idx, 0), len(model.segments) - 1)
-        seg = model.segments[seg_idx]
-        raw = seg.predict(key)
-        if math.isinf(key):
-            # +-inf probes (open-ended scans): saturate the prediction.
-            raw = seg.first if key < 0 else seg.last - 1
-        predicted = int(np.clip(round(raw), seg.first, seg.last - 1))
-        return bounded_binary_search(run.keys, key, predicted, model.epsilon + 1, self.stats)
+        return model.locate(run.keys, key, self.stats)
 
     def model_size_bytes(self) -> int:
-        """Total bytes of the learned models across all runs."""
+        """Total bytes of the learned models across all runs: 40 per
+        segment plus its 8-byte entry in the run's segment directory."""
         return sum(
-            run.model.size_bytes for run in self._runs if isinstance(run.model, _RunModel)
+            run.model.size_bytes + 8 * len(run.model)
+            for run in self._runs if isinstance(run.model, LearnedColumn)
         )

@@ -10,14 +10,12 @@ lanes, with a linear-segment model standing in for the tiny NN).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.baselines.skiplist import SkipListIndex, _SkipNode
-from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search
+from repro.models.pla import LearnedColumn
 
 __all__ = ["LearnedSkipList"]
 
@@ -47,9 +45,7 @@ class LearnedSkipList(SkipListIndex):
         self.guide_epsilon = guide_epsilon
         self._guide_keys = np.empty(0)
         self._guide_nodes: list[_SkipNode] = []
-        self._guide_segments: list[Segment] = []
-        self._guide_seg_keys = np.empty(0)
-        self._guide_error = 0
+        self._guide = LearnedColumn(self._guide_keys, guide_epsilon)
         self._dirty_ops = 0
 
     # -- guide maintenance ---------------------------------------------------
@@ -64,22 +60,13 @@ class LearnedSkipList(SkipListIndex):
             keys.append(node.key)
             nodes.append(node)
             node = node.forward[0]
-        self._guide_keys = np.asarray(keys)
+        self._guide_keys = np.asarray(keys, dtype=np.float64)
         self._guide_nodes = nodes
-        n = self._guide_keys.size
-        if n:
-            # Piecewise-linear guide: per-segment error is capped at
-            # guide_epsilon regardless of n, so the last-mile window —
-            # and the counted correction work — stays constant as the
-            # chain grows (the E22 witness checks exactly this).
-            self._guide_segments = segment_stream(
-                self._guide_keys.astype(np.float64), float(self.guide_epsilon))
-            self._guide_seg_keys = np.array([seg.key for seg in self._guide_segments])
-            self._guide_error = int(self.guide_epsilon)
-        else:
-            self._guide_segments = []
-            self._guide_seg_keys = np.empty(0)
-            self._guide_error = 0
+        # Piecewise-linear guide: per-segment error is capped at
+        # guide_epsilon regardless of n, so the last-mile window — and the
+        # counted correction work — stays constant as the chain grows
+        # (the E22 witness checks exactly this).
+        self._guide = LearnedColumn(self._guide_keys, self.guide_epsilon)
         self._dirty_ops = 0
         self.stats.extra["guide_rebuilds"] = self.stats.extra.get("guide_rebuilds", 0) + 1
 
@@ -100,16 +87,7 @@ class LearnedSkipList(SkipListIndex):
         n = self._guide_keys.size
         if n == 0:
             return super().lookup(key)
-        self.stats.model_predictions += 1
-        seg_idx = int(np.searchsorted(self._guide_seg_keys, key, side="right")) - 1
-        seg_idx = min(max(seg_idx, 0), len(self._guide_segments) - 1)
-        seg = self._guide_segments[seg_idx]
-        raw = seg.predict(key)
-        if math.isinf(key):
-            # +-inf probes (open-ended scans): saturate the prediction.
-            raw = seg.first if key < 0 else seg.last - 1
-        predicted = int(np.clip(round(raw), seg.first, max(seg.first, seg.last - 1)))
-        pos = bounded_binary_search(self._guide_keys, key, predicted, self._guide_error + 1, self.stats)
+        pos = self._guide.locate(self._guide_keys, key, self.stats)
         # Start walking the live chain one guide entry early: inserts since
         # the last rebuild may sit between guide entries.
         start = max(pos - 1, 0)
@@ -120,7 +98,7 @@ class LearnedSkipList(SkipListIndex):
         while node is not None and node.key < key:
             node = node.forward[0]
             steps += 1
-            if steps > 4 * (self._dirty_ops + self._guide_error + 2):
+            if steps > 4 * (self._dirty_ops + self.guide_epsilon + 2):
                 # Guide too stale to be useful: fall back to tower search.
                 return super().lookup(key)
         self.stats.keys_scanned += steps

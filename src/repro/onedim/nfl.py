@@ -17,14 +17,12 @@ over the transformed keys is a PGM; the delta buffer makes it mutable
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.interfaces import MutableOneDimIndex
-from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search
+from repro.models.pla import LearnedColumn
 
 __all__ = ["NFLIndex"]
 
@@ -54,8 +52,7 @@ class NFLIndex(MutableOneDimIndex):
         self._keys = np.empty(0)          # original keys, sorted
         self._transformed = np.empty(0)   # transform of _keys (also sorted)
         self._values: list[object] = []
-        self._segments: list[Segment] = []
-        self._segment_keys = np.empty(0)
+        self._model = LearnedColumn(self._transformed, epsilon)
         self._buf_keys: list[float] = []
         self._buf_values: list[object] = []
 
@@ -100,46 +97,28 @@ class NFLIndex(MutableOneDimIndex):
         self._keys = arr
         self._values = vals
         if arr.size == 0:
-            self._segments = []
             self._transformed = np.empty(0)
+            self._model = LearnedColumn(self._transformed, self.epsilon)
             return self
         self._fit_transform(arr)
         self._transformed = self.transform_array(arr)
-        self._segments = segment_stream(self._transformed, float(self.epsilon))
-        self._segment_keys = np.array([seg.key for seg in self._segments])
-        self.stats.size_bytes = (
-            8 * int(self._anchors.size)
-            + sum(seg.size_bytes for seg in self._segments)
-        )
-        self.stats.extra["segments"] = len(self._segments)
+        self._model = LearnedColumn(self._transformed, self.epsilon)
+        self.stats.size_bytes = 8 * int(self._anchors.size) + self._model.size_bytes
+        self.stats.extra["segments"] = len(self._model)
         return self
 
     # -- reads ----------------------------------------------------------------
-    def _locate(self, key: float) -> int:
-        t = self.transform(key)
-        self.stats.model_predictions += 1
-        seg_idx = int(np.searchsorted(self._segment_keys, t, side="right")) - 1
-        seg_idx = min(max(seg_idx, 0), len(self._segments) - 1)
-        seg = self._segments[seg_idx]
-        raw = seg.predict(t)
-        if math.isinf(t):
-            # +-inf probes (open-ended scans): saturate the prediction.
-            raw = seg.first if t < 0 else seg.last - 1
-        predicted = int(np.clip(round(raw), seg.first, seg.last - 1))
-        return bounded_binary_search(self._transformed, t, predicted,
-                                     self.epsilon + 1, self.stats)
-
     def lookup(self, key: float) -> object | None:
         """Duplicate-bounded: after the learned locate, the scan covers
         only the equal-transform run plus a bisect of the small buffer."""
         self._require_built()
         key = float(key)
         if self._keys.size:
-            pos = self._locate(key)
+            t = self.transform(key)
             # The transform is monotone but may collapse ties; scan the
             # tiny equal-transform run for the exact key.
-            i = pos
-            while i < self._keys.size and self._transformed[i] <= self.transform(key) + 1e-12:
+            i = self._model.locate(self._transformed, t, self.stats)
+            while i < self._keys.size and self._transformed[i] <= t + 1e-12:
                 self.stats.keys_scanned += 1
                 if self._keys[i] == key:
                     return self._values[i]
@@ -213,11 +192,7 @@ class NFLIndex(MutableOneDimIndex):
                 self._transformed = np.delete(self._transformed, pos)
                 del self._values[pos]
                 # Positions shifted: refit the back-end segments.
-                if self._keys.size:
-                    self._segments = segment_stream(self._transformed, float(self.epsilon))
-                    self._segment_keys = np.array([seg.key for seg in self._segments])
-                else:
-                    self._segments = []
+                self._model = LearnedColumn(self._transformed, self.epsilon)
                 return True
         return False
 
@@ -227,7 +202,7 @@ class NFLIndex(MutableOneDimIndex):
         made the data easier (the NFL claim)."""
         if self._keys.size == 0:
             return 0.0
-        return len(self._segments) / self._keys.size
+        return len(self._model) / self._keys.size
 
     def __len__(self) -> int:
         return int(self._keys.size) + len(self._buf_keys)

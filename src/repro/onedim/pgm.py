@@ -15,14 +15,14 @@ survey's taxonomy).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.interfaces import MutableOneDimIndex, OneDimIndex, as_object_array
-from repro.models.pla import Segment, segment_stream
-from repro.onedim._search import bounded_binary_search, bounded_search_batch, scan_range
+from repro.core.state import IndexState, export_index_state
+from repro.models.pla import LearnedColumn
+from repro.onedim._search import scan_range
 
 __all__ = ["PGMIndex", "DynamicPGMIndex"]
 
@@ -49,52 +49,32 @@ class PGMIndex(OneDimIndex):
         self.epsilon_recursive = epsilon_recursive
         self._keys = np.empty(0)
         self._values: list[object] = []
-        #: levels[0] = leaf segments over the data; levels[i>0] index the
-        #: first-keys of the segments one level below.
-        self._levels: list[list[Segment]] = []
-        self._level_keys: list[np.ndarray] = []
-        #: per-level flat segment parameters (key, slope, anchor_pos,
-        #: first, last) for the vectorized batch-lookup path.
-        self._level_arrays: list[tuple[np.ndarray, ...]] = []
+        #: columns[0] is the leaf model over the data; columns[i > 0] model
+        #: the anchor keys of the column one level below.
+        self._columns: list[LearnedColumn] = []
         self._values_arr = np.empty(0, dtype=object)
 
     def build(self, keys: Sequence[float], values: Sequence[object] | None = None) -> "PGMIndex":
         self._keys, self._values = self._prepare(keys, values)
         self._built = True
-        self._levels = []
-        self._level_keys = []
-        self._level_arrays = []
+        self._columns = []
         self._values_arr = as_object_array(self._values)
-        n = self._keys.size
-        if n == 0:
+        if self._keys.size == 0:
             return self
-
-        level_keys = self._keys
-        epsilon = self.epsilon
-        while True:
-            segments = segment_stream(level_keys, float(epsilon))
-            self._levels.append(segments)
-            self._level_keys.append(level_keys)
-            if len(segments) <= 1:
-                break
-            level_keys = np.array([seg.key for seg in segments])
-            epsilon = self.epsilon_recursive
-
-        for segments in self._levels:
-            self._level_arrays.append((
-                np.array([seg.key for seg in segments]),
-                np.array([seg.slope for seg in segments]),
-                np.array([seg.anchor_pos for seg in segments]),
-                np.array([seg.first for seg in segments], dtype=np.int64),
-                np.array([seg.last for seg in segments], dtype=np.int64),
-            ))
-
-        self.stats.size_bytes = sum(
-            seg.size_bytes for level in self._levels for seg in level
-        )
-        self.stats.extra["levels"] = len(self._levels)
-        self.stats.extra["segments"] = len(self._levels[0])
+        column = LearnedColumn(self._keys, self.epsilon)
+        self._columns.append(column)
+        while len(column) > 1:
+            column = LearnedColumn(column.keys, self.epsilon_recursive)
+            self._columns.append(column)
+        self.stats.size_bytes = sum(column.size_bytes for column in self._columns)
+        self.stats.extra["levels"] = len(self._columns)
+        self.stats.extra["segments"] = len(self._columns[0])
         return self
+
+    def _level_keys(self, level: int) -> np.ndarray:
+        """The sorted keys level ``level`` models: the data at the leaves,
+        the anchor keys of the level below above them."""
+        return self._keys if level == 0 else self._columns[level - 1].keys
 
     # -- queries ------------------------------------------------------------
     def _locate(self, key: float) -> int:
@@ -102,42 +82,31 @@ class PGMIndex(OneDimIndex):
 
         Level-bounded: the loop walks the recursive-model hierarchy
         (O(log n) levels), doing one epsilon-bounded search per level.
+        The position found at a level is ``key``'s lower bound among the
+        anchor keys of the level below, so it names the segment that
+        covers the start of ``key``'s run there (:meth:`_segment_containing`).
         """
-        # Walk levels from the top (last) down to the leaves (first).
-        top = len(self._levels) - 1
-        seg_idx = 0
-        for level in range(top, -1, -1):
-            segments = self._levels[level]
-            level_keys = self._level_keys[level]
-            epsilon = self.epsilon if level == 0 else self.epsilon_recursive
-            if level == top:
-                seg_idx = 0
-            seg = segments[seg_idx]
-            self.stats.model_predictions += 1
+        seg = 0
+        for level in range(len(self._columns) - 1, -1, -1):
             self.stats.nodes_visited += 1
-            raw = seg.predict(key)
-            if not math.isfinite(raw):
-                # +-inf probes (open-ended scans): saturate the prediction.
-                raw = seg.first if raw < 0 else seg.last - 1
-            predicted = min(max(round(raw), seg.first), seg.last - 1)
-            pos = bounded_binary_search(level_keys, key, predicted, epsilon + 1, self.stats)
+            pos = self._columns[level].search(self._level_keys(level), seg, key, self.stats)
             if level == 0:
                 return pos
-            # The entries of this level's key array are the first-keys of
-            # the segments one level below, so `pos` is a hint for the
-            # covering segment; _segment_containing walks to the exact one.
-            hint = min(pos, len(self._levels[level - 1]) - 1)
-            seg_idx = self._segment_containing(level - 1, hint, key)
+            seg = self._segment_containing(level - 1, pos, key)
         return 0  # pragma: no cover - loop always returns at level 0
 
-    def _segment_containing(self, level: int, hint: int, key: float) -> int:
-        """Resolve the segment index at ``level`` that covers ``key``."""
-        segments = self._levels[level]
-        idx = min(max(hint, 0), len(segments) - 1)
-        while idx + 1 < len(segments) and segments[idx + 1].key <= key:
-            idx += 1
-            self.stats.comparisons += 1
-        while idx > 0 and segments[idx].key > key:
+    def _segment_containing(self, level: int, pos: int, key: float) -> int:
+        """The segment at ``level`` holding the start of ``key``'s run,
+        from ``key``'s lower bound ``pos`` among that level's anchor keys.
+
+        That is the anchor at ``pos`` when it equals ``key`` and starts
+        the run, else the segment before it.
+        """
+        column = self._columns[level]
+        idx = min(pos, len(column) - 1)
+        if idx > 0 and (column.key_list[idx] > key or (
+                column.key_list[idx] == key
+                and self._level_keys(level)[column.firsts[idx] - 1] == key)):
             idx -= 1
             self.stats.comparisons += 1
         return idx
@@ -163,44 +132,29 @@ class PGMIndex(OneDimIndex):
     def _locate_batch(self, qs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_locate` over a whole query batch.
 
-        Walks the PLA levels top-down exactly like the scalar path, but
-        carries an int64 array of per-query segment indexes instead of a
-        single one.  The top level is one segment, so its parameters are
-        scalars and need no gathers.  The scalar ``_segment_containing``
-        walk resolves to the last segment whose first-key is <= the query
-        (clamped to 0), which is one ``np.searchsorted(side='right') - 1``
-        per level.
+        Walks the levels top-down exactly like the scalar path, carrying
+        an int64 array of per-query segment indexes instead of a single
+        one (the top level is one segment, so it needs no gathers), and
+        resolving each to the segment below as :meth:`_segment_containing`
+        does.
         """
         m = qs.size
-        seg_idx: np.ndarray | None = None
-        for level in range(len(self._levels) - 1, -1, -1):
-            seg_keys, slopes, anchors, firsts, lasts = self._level_arrays[level]
-            if seg_idx is None:
-                seg_keys, slopes, anchors, firsts, lasts = (
-                    seg_keys[0], slopes[0], anchors[0], firsts[0], lasts[0])
-            else:
-                seg_keys, slopes, anchors, firsts, lasts = (
-                    seg_keys[seg_idx], slopes[seg_idx], anchors[seg_idx],
-                    firsts[seg_idx], lasts[seg_idx])
-            raw = slopes * (qs - seg_keys) + anchors
-            finite = np.isfinite(raw)
-            if not finite.all():
-                # +-inf probes: saturate exactly like the scalar path
-                # (NaN compares false, so it saturates high there too).
-                with np.errstate(invalid="ignore"):
-                    raw = np.where(finite, raw, np.where(raw < 0, firsts, lasts - 1))
-            predicted = np.minimum(np.maximum(np.rint(raw), firsts),
-                                   lasts - 1).astype(np.int64)
-            self.stats.model_predictions += m
+        seg: np.ndarray | int = 0
+        for level in range(len(self._columns) - 1, -1, -1):
             self.stats.nodes_visited += m
-            epsilon = self.epsilon if level == 0 else self.epsilon_recursive
-            pos = bounded_search_batch(self._level_keys[level], qs, predicted,
-                                       epsilon + 1, self.stats)
+            pos = self._columns[level].search_batch(self._level_keys(level), seg, qs, self.stats)
             if level == 0:
                 return pos
-            below_keys = self._level_arrays[level - 1][0]
-            # side="right" - 1 is at most size - 1 already; only 0 clamps.
-            seg_idx = np.maximum(np.searchsorted(below_keys, qs, side="right") - 1, 0)
+            below = self._columns[level - 1]
+            seg = np.minimum(pos, len(below) - 1)
+            anchor = below.keys[seg]
+            back = anchor > qs
+            tied = anchor == qs
+            if tied.any():
+                keys = self._level_keys(level - 1)
+                back |= tied & (keys[np.maximum(below.firsts[seg] - 1, 0)] == qs)
+            seg -= back
+            np.maximum(seg, 0, out=seg)
         return np.zeros(m, dtype=np.int64)  # pragma: no cover
 
     def _find_batch(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,12 +189,12 @@ class PGMIndex(OneDimIndex):
     @property
     def num_segments(self) -> int:
         """Leaf-level segment count (the size driver)."""
-        return len(self._levels[0]) if self._levels else 0
+        return len(self._columns[0]) if self._columns else 0
 
     @property
     def num_levels(self) -> int:
         """Number of PLA levels including the leaf level."""
-        return len(self._levels)
+        return len(self._columns)
 
     def __len__(self) -> int:
         return int(self._keys.size)
@@ -381,6 +335,31 @@ class DynamicPGMIndex(MutableOneDimIndex):
             index = PGMIndex(epsilon=self.epsilon).build(keys, values)
             self._static = [None] * self._level_for(keys.size) + [index]
         self._refresh_size()
+
+    # -- built-state export ------------------------------------------------
+    def export_state(self) -> IndexState:
+        """Export each static level as its attribute dict, which the
+        generic exporter descends, so the levels' key columns travel as
+        shared arrays rather than inside the pickled residue."""
+        self._require_built()
+        static = self._static
+        self._static = [None if index is None else vars(index) for index in static]
+        try:
+            return export_index_state(self)
+        finally:
+            self._static = static
+
+    @classmethod
+    def from_state(cls, state: IndexState,
+                   arrays: list[np.ndarray] | None = None) -> "DynamicPGMIndex":
+        """Rebuild the static levels from their exported attribute dicts."""
+        instance = super().from_state(state, arrays)
+        assert isinstance(instance, DynamicPGMIndex)
+        for i, attrs in enumerate(instance._static):
+            if attrs is not None:
+                index = instance._static[i] = PGMIndex.__new__(PGMIndex)
+                index.__dict__.update(attrs)
+        return instance
 
     # -- reads -------------------------------------------------------------
     def lookup(self, key: float) -> object | None:

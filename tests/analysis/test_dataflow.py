@@ -124,6 +124,19 @@ class TestSignaturesAndGuards:
         assert value.dtype == "int64"
         assert bit_width(value) == 62
 
+    @pytest.mark.parametrize("call, twin", [("locate(keys, q, stats)", "bounded_binary_search"),
+                                            ("search(keys, 0, q, stats)", "bounded_binary_search"),
+                                            ("locate_batch(keys, qs, stats)", "bounded_search_batch"),
+                                            ("search_batch(keys, 0, qs, stats)",
+                                             "bounded_search_batch")])
+    def test_learned_column_calls_bound_positions_like_the_search(self, call, twin):
+        got = return_value(facts_of(f"def f(model, keys, q, qs, stats):\n"
+                                    f"    return model.{call}\n", "f"))
+        want = return_value(facts_of(f"def f(keys, q, stats):\n"
+                                     f"    return {twin}(keys, q, 0, 1, stats)\n", "f"))
+        assert got == want
+        assert got.is_int and not got.maybe_negative
+
     def test_param_guard_narrows_bits(self):
         fn = facts_of(
             "def f(bits):\n"

@@ -187,3 +187,42 @@ class TestSharedMemoryRoundTrip:
             attached.close()
         finally:
             release_segment(shm)
+
+
+def _payload_arrays(payload: bytes) -> list[np.ndarray]:
+    """Every ndarray the pickled residue of a state carries."""
+    import io
+    import pickle
+
+    found: list[np.ndarray] = []
+
+    class Collect(pickle.Pickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, np.ndarray):
+                found.append(obj)
+            return NotImplemented
+
+    Collect(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(pickle.loads(payload))
+    return found
+
+
+@pytest.mark.parametrize("name", ["pgm", "dynamic-pgm", "zm-index"])
+def test_payload_holds_no_key_length_numeric_array(name):
+    # The learned models pickle per-segment parameters only: every numeric
+    # column as long as the data is a shared array.  Object-dtype value
+    # columns cannot be shared and are the residue's one O(n) part.
+    n = 100_000
+    rng = np.random.default_rng(0)
+    data = rng.uniform(0.0, 1.0, (n, 2) if name == "zm-index" else n)
+    factory = MULTI_DIM_FACTORIES.get(name) or ONE_DIM_FACTORIES[name]
+    index = factory().build(data)
+    state = index.export_state()
+    assert [a.shape for a in _payload_arrays(state.payload)
+            if a.dtype != object and a.shape[:1] == (n,)] == []
+    assert any(a.shape[:1] == (n,) for a in state.arrays)
+    restored = type(index).from_state(state)
+    probe = np.concatenate((data[:50], rng.uniform(0.0, 1.0, data[:50].shape)))
+    if name == "zm-index":
+        assert restored.point_query_batch(probe).tolist() == index.point_query_batch(probe).tolist()
+    else:
+        assert restored.lookup_batch(probe).tolist() == index.lookup_batch(probe).tolist()

@@ -126,20 +126,13 @@ class TestOracleParity:
         assert index.knn_query([0.0, 0.0], 5)[-1] == ((1.0, 0.0), 4)
 
     def test_nan_behaviour_is_pinned(self, name):
-        # NaN queries are not yet part of the typed input domain: ZM and
-        # Flood answer empty, ML-index's iDistance mapping raises.
+        # NaN queries answer empty: ZM and Flood mask them out, and the
+        # learned column ML-index searches orders a NaN key after every key.
         points = np.random.default_rng(3).uniform(0.0, 100.0, (200, 2))
         index = MULTI_DIM_FACTORIES[name]().build(points)
         nan = float("nan")
         boxes_with_nan = [([nan, 10.0], [50.0, 50.0]), ([10.0, 10.0], [nan, 50.0]),
                           ([nan, nan], [nan, nan])]
-        if name == "ml-index":
-            for lo, hi in boxes_with_nan:
-                with pytest.raises(ValueError):
-                    index.range_query(lo, hi)
-            with pytest.raises(ValueError):
-                index.knn_query([nan, 50.0], 3)
-            return
         for lo, hi in boxes_with_nan:
             assert index.range_query(lo, hi) == []
         lows, highs = (np.array(c) for c in zip(*boxes_with_nan))

@@ -159,3 +159,31 @@ class TestMutableContract:
         live = {tuple(p) for p in pts} - {tuple(pts[i]) for i in range(0, 200, 9)}
         live |= {tuple(p) for p in extra if np.all(p >= lo) and np.all(p <= hi)}
         assert {tuple(p) for p, _ in got} == live
+
+
+class TestInfiniteCoordinates:
+    """+-inf is a coordinate like any other: a point holding one is not
+    stored, and a box with infinite corners is an unbounded box."""
+
+    INF = float("inf")
+
+    @pytest.fixture(params=ALL, ids=ALL)
+    def built(self, request, uniform_points):
+        return MULTI_DIM_FACTORIES[request.param]().build(uniform_points), uniform_points
+
+    def test_point_with_an_infinite_coordinate_is_absent(self, built):
+        index, points = built
+        x, y = points[7]
+        for q in ([self.INF, y], [x, -self.INF], [-self.INF, self.INF], [self.INF, self.INF]):
+            assert index.point_query(q) is None
+
+    def test_box_with_infinite_corners_matches_brute_force(self, built):
+        index, points = built
+        mid = np.median(points, axis=0)
+        inf = self.INF
+        boxes = [([-inf, -inf], [inf, inf]), ([-inf, mid[1]], [mid[0], inf]),
+                 ([mid[0], -inf], [inf, mid[1]]), ([-inf, -inf], mid), (mid, [inf, inf]),
+                 ([inf, inf], [inf, inf]), ([-inf, -inf], [-inf, -inf])]
+        for lo, hi in boxes:
+            got = sorted(v for _, v in index.range_query(lo, hi))
+            assert got == brute_force_range_nd(points, lo, hi), (lo, hi)

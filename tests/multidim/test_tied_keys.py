@@ -1,10 +1,13 @@
-"""Stored points are found when keys tie: learned-KD and ZM against brute force.
+"""Stored points are found when keys tie: learned-KD, ZM and LISA against brute force.
 
 A lattice shares each coordinate value among many points, and a ZM index
 with few ``bits`` puts many points in one cell, so both index long runs
 of equal keys.  A segment anchored inside such a run predicts a position
 past the run's start; routing a key to the last segment anchored strictly
-below it keeps the run's start inside the error window.
+below it keeps the run's start inside the error window.  LISA's runs of
+equal mapped values cross shard boundaries the same way: a query routes
+to the last shard starting strictly below its candidate window and scans
+on into the following shards.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 
 from repro.data import load_nd
 from repro.multidim.learned_kd import LearnedKDIndex
+from repro.multidim.lisa import LISAIndex
 from repro.multidim.zm_index import ZMIndex
 from tests.conftest import brute_force_range_nd
 
@@ -31,6 +35,8 @@ FACTORIES = {
     "zm-bits2": lambda: ZMIndex(bits=2, epsilon=4),
     "zm-bits4": lambda: ZMIndex(bits=4, epsilon=4),
     "zm-default": lambda: ZMIndex(),
+    "lisa": lambda: LISAIndex(),
+    "lisa-small-shards": lambda: LISAIndex(cells_per_dim=4, shard_size=8),
 }
 
 
@@ -73,3 +79,13 @@ class TestTiedKeys:
                          for p, _ in index.knn_query(q, 5))
             want = np.sort(np.linalg.norm(points - q, axis=1))[:5]
             np.testing.assert_allclose(got, want)
+
+
+def test_lisa_deletes_and_reinserts_across_tied_runs(points):
+    index = LISAIndex(cells_per_dim=4, shard_size=8).build(points)
+    for i in range(0, len(points), 2):
+        assert index.delete(points[i])
+    for i in range(0, len(points), 2):
+        index.insert(points[i], i)
+    assert len(index) == len(points)
+    assert index.point_query_batch(points).tolist() == list(range(len(points)))

@@ -80,23 +80,3 @@ class TestExponentialSearch:
         expect = int(np.searchsorted(keys, key, side="left"))
         assert exponential_search(keys, key, predicted) == expect
 
-
-class TestTimerHelpers:
-    def test_time_callable_returns_positive(self):
-        from repro.bench.timer import time_callable
-
-        assert time_callable(lambda: sum(range(100))) > 0
-
-    def test_ops_per_second(self):
-        from repro.bench.timer import ops_per_second
-
-        rate = ops_per_second(lambda: sum(1 for _ in range(1000)) and 1000)
-        assert rate > 0
-
-    def test_measurement_formatting(self):
-        from repro.bench.timer import Measurement
-
-        assert "us" in Measurement("t", 5e-6, "s").formatted()
-        assert "ms" in Measurement("t", 5e-3, "s").formatted()
-        assert Measurement("n", 3.0, "ops").formatted() == "3 ops"
-        assert Measurement("n", 3.0).formatted() == "3"

@@ -86,7 +86,20 @@ class TestPGM:
 
     def test_recursion_terminates_with_one_root_segment(self, lognormal_keys):
         index = PGMIndex(epsilon=16).build(lognormal_keys)
-        assert len(index._levels[-1]) == 1
+        assert len(index._columns[-1]) == 1
+
+    @pytest.mark.parametrize("epsilon", [1, 4, 16])
+    def test_duplicate_runs_longer_than_epsilon_are_found_from_their_start(self, epsilon):
+        # The run spans many segments at every level; each level must pick
+        # the segment holding the run's start, not one anchored inside it.
+        keys = np.concatenate([np.arange(100.0), np.full(300, 150.0), np.arange(200.0, 400.0)])
+        index = PGMIndex(epsilon=epsilon, epsilon_recursive=1).build(keys)
+        assert index.num_levels > 2
+        assert len(index.range_query(150.0, 150.0)) == 300
+        assert len(index.range_query(99.0, 200.0)) == 302
+        queries = np.array([150.0, 99.0, 200.0, 150.5])
+        assert [index._locate(q) for q in queries.tolist()] == [100, 99, 400, 400]
+        assert index._locate_batch(queries).tolist() == [100, 99, 400, 400]
 
     def test_dynamic_variant_merges_levels(self):
         keys = load_1d("uniform", 2000, seed=4)
