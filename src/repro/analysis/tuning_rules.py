@@ -42,16 +42,14 @@ __all__ = ["rule_tuner_actuation_discipline"]
 
 #: Store bookkeeping no control-plane code may write.
 _STORE_BOOKKEEPING = frozenset({
-    "generations", "shards", "_bounds", "_bounds_version",
-    "_artifact_dirs", "_artifact_gens",
+    "generations", "shards", "_bounds", "_bounds_version", "_artifacts",
 })
 
 #: Store-private state no control-plane code may even read — holding or
 #: inspecting these outside the store's own methods bypasses the
 #: rank-ordered acquisition protocol.
 _STORE_PRIVATE = frozenset({
-    "_bounds", "_bounds_version", "_locks", "_artifact_dirs",
-    "_artifact_gens",
+    "_bounds", "_bounds_version", "_locks", "_artifacts",
 })
 
 #: Index mutators that re-shape a shard when called on it directly.

@@ -124,8 +124,14 @@ class GridIndex(MutableMultiDimIndex):
 
     def _cell_of(self, p: np.ndarray) -> tuple[int, ...]:
         frac = (p - self._lo) / (self._hi - self._lo)
-        idx = np.clip((frac * self.cells_per_dim).astype(int), 0, self.cells_per_dim - 1)
-        return tuple(int(i) for i in idx)
+        return tuple(int(i) for i in self._clamped_cells(frac))
+
+    def _clamped_cells(self, frac: np.ndarray) -> np.ndarray:
+        """Cell indices of data-extent fractions, clamped to the grid before
+        the integer cast: +-inf land on the edge cells and NaN on cell 0
+        (``fmax`` drops a NaN), so no cast sees a non-finite value."""
+        cells = np.fmin(np.fmax(frac * self.cells_per_dim, 0.0), self.cells_per_dim - 1)
+        return cells.astype(int)
 
     def point_query(self, point: Sequence[float]) -> object | None:
         self._require_built()
@@ -169,8 +175,7 @@ class GridIndex(MutableMultiDimIndex):
         out = np.full(m, None, dtype=object)
         if m == 0 or not self._cells:
             return out
-        frac = (pts - self._lo) / (self._hi - self._lo)
-        ids = np.clip((frac * self.cells_per_dim).astype(int), 0, self.cells_per_dim - 1)
+        ids = self._clamped_cells((pts - self._lo) / (self._hi - self._lo))
         flat = np.zeros(m, dtype=np.int64)
         for j in range(ids.shape[1]):
             flat = flat * self.cells_per_dim + ids[:, j]
@@ -257,9 +262,9 @@ class GridIndex(MutableMultiDimIndex):
     def knn_query(self, point: Sequence[float], k: int) -> list[tuple[tuple[float, ...], object]]:
         """Expanding-ring kNN over grid cells around the query."""
         self._require_built()
-        if k <= 0 or self._size == 0:
-            return []
         q = np.asarray(point, dtype=np.float64)
+        if k <= 0 or self._size == 0 or np.isnan(q).any():
+            return []
         centre = self._cell_of(np.clip(q, self._lo, self._hi))
         cell_span = (self._hi - self._lo) / self.cells_per_dim
         best: list[tuple[float, int, tuple, object]] = []

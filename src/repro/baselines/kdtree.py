@@ -129,9 +129,9 @@ class KDTreeIndex(MutableMultiDimIndex):
     def knn_query(self, point: Sequence[float], k: int) -> list[tuple[tuple[float, ...], object]]:
         """Classic branch-and-bound kNN with a bounded max-heap."""
         self._require_built()
-        if k <= 0 or self._root is None:
-            return []
         q = np.asarray(point, dtype=np.float64)
+        if k <= 0 or self._root is None or np.isnan(q).any():
+            return []
         heap: list[tuple[float, int, tuple, object]] = []  # max-heap via -dist
         counter = itertools.count()
 

@@ -195,9 +195,9 @@ class QuadTreeIndex(MutableMultiDimIndex):
     def knn_query(self, point: Sequence[float], k: int) -> list[tuple[tuple[float, ...], object]]:
         """Best-first kNN over cells ordered by min distance."""
         self._require_built()
-        if k <= 0 or self._root is None:
-            return []
         q = np.asarray(point, dtype=np.float64)
+        if k <= 0 or self._root is None or np.isnan(q).any():
+            return []
         counter = itertools.count()
         heap: list = [(0.0, next(counter), self._root, False)]
         out: list[tuple[tuple[float, ...], object]] = []

@@ -216,9 +216,9 @@ class RTreeIndex(MutableMultiDimIndex):
     def knn_query(self, point: Sequence[float], k: int) -> list[tuple[tuple[float, ...], object]]:
         """Best-first kNN over a min-heap of node/point distances."""
         self._require_built()
-        if k <= 0 or self._size == 0:
-            return []
         q = np.asarray(point, dtype=np.float64)
+        if k <= 0 or self._size == 0 or np.isnan(q).any():
+            return []
         counter = itertools.count()
         heap: list[tuple[float, int, object, bool]] = []
         heapq.heappush(heap, (0.0, next(counter), self._root, False))

@@ -478,9 +478,9 @@ class MultiDimIndex(abc.ABC):
         proposes; spatial trees override it with guided search.
         """
         self._require_built()
-        if k <= 0:
-            return []
         q = np.asarray(point, dtype=np.float64)
+        if k <= 0 or np.isnan(q).any():
+            return []
         # Expanding-radius search: grow the box until it holds k
         # candidates whose true distance is within the box radius.
         # Growth is clamped: once the box dwarfs the data extent, wider

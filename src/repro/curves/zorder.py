@@ -51,7 +51,10 @@ def quantize(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, bits: int) -> n
     span = np.asarray(hi, dtype=np.float64) - np.asarray(lo, dtype=np.float64)
     span[span == 0] = 1.0
     frac = (pts - lo) / span
-    scaled = np.clip(frac, 0.0, 1.0) * (1 << bits)
+    # Clamp in place: fmax/fmin act like clip but send NaN to 0, so the
+    # integer cast below never sees a non-finite value.
+    np.fmin(np.fmax(frac, 0.0, out=frac), 1.0, out=frac)
+    scaled = frac * (1 << bits)
     return np.minimum(np.floor(scaled).astype(np.int64), (1 << bits) - 1)
 
 

@@ -110,9 +110,9 @@ class SPRIGIndex(MultiDimIndex):
         """Learned cell probe, then a tie-bounded scan: the walk only
         crosses the run of points sharing the query's sort key."""
         self._require_built()
-        if not self._cells:
-            return None
         q = np.asarray(point, dtype=np.float64)
+        if not self._cells or np.isnan(q).any():
+            return None
         self.stats.model_predictions += 1
         bucket = self._cells.get(self._cell_of(q))
         self.stats.nodes_visited += 1
@@ -133,7 +133,8 @@ class SPRIGIndex(MultiDimIndex):
             return []
         lo = np.asarray(low, dtype=np.float64)
         hi = np.asarray(high, dtype=np.float64)
-        if np.any(hi < lo):
+        # ``lo <= hi`` is false for inverted boxes and NaN corners alike.
+        if not np.all(lo <= hi):
             return []
         lo_cell = self._cell_of(lo)
         hi_cell = self._cell_of(hi)

@@ -80,24 +80,29 @@ class ZMIndex(MultiDimIndex):
         self.dims = int(pts.shape[1]) if pts.size else 0
         self._built = True
         if pts.shape[0] == 0:
+            # No points: every column of an earlier build goes.
+            self._codes = np.empty(0, dtype=np.int64)
             self._points = pts
+            self._values_arr = np.empty(0, dtype=object)
             self._values = []
-            return self
-        require_code_budget(self.dims, self.bits)
-        self._lo = pts.min(axis=0)
-        self._hi = pts.max(axis=0)
-        self._extent = float(np.max(self._hi - self._lo)) or 1.0
-        codes = zencode_array(pts, self._lo, self._hi, self.bits).astype(np.int64)
-        order = np.argsort(codes, kind="mergesort")
-        self._codes = codes[order]
-        self._points = pts[order]
-        self._values_arr = as_object_array(vals)[order]
-        # A comprehension, not tolist(): tolist() takes one exact-size
-        # block that at this size comes from the heap, where it kept ~50 MB
-        # of the freed build resident after the server closed (restore_mp
-        # peak RSS +14%); the comprehension's growing block does not.
-        self._values = [v for v in self._values_arr]
-        self._qcoords = quantize(self._points, self._lo, self._hi, self.bits)
+            self._qcoords = np.empty((0, 0), dtype=np.int64)
+        else:
+            require_code_budget(self.dims, self.bits)
+            self._lo = pts.min(axis=0)
+            self._hi = pts.max(axis=0)
+            self._extent = float(np.max(self._hi - self._lo)) or 1.0
+            codes = zencode_array(pts, self._lo, self._hi, self.bits).astype(np.int64)
+            order = np.argsort(codes, kind="mergesort")
+            self._codes = codes[order]
+            self._points = pts[order]
+            self._values_arr = as_object_array(vals)[order]
+            # A comprehension, not tolist(): tolist() takes one exact-size
+            # block that at this size comes from the heap, where it kept
+            # ~50 MB of the freed build resident after the server closed
+            # (restore_mp peak RSS +14%); the comprehension's growing
+            # block does not.
+            self._values = [v for v in self._values_arr]
+            self._qcoords = quantize(self._points, self._lo, self._hi, self.bits)
 
         # Learned 1-d model over the sorted codes.  Codes can be up to 62
         # bits wide; the column rejects any build whose codes would alias

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.interfaces import IndexStats
 from repro.core.lockorder import make_lock
-from repro.serve.requests import Op, Request
+from repro.serve.requests import BATCH_KERNELS, Op, Request
 from repro.serve.shm import (
     ShardManifest,
     attach_view,
@@ -151,14 +151,10 @@ def _run_batch(view: object, op: Op, payload: object) -> list[object]:
     object ndarray pickles through the same list plus a reconstruction
     step on each side, so the list is the cheaper wire form.
     """
-    column = np.asarray(payload, dtype=np.float64)
-    if op is Op.LOOKUP:
-        return view.lookup_batch(column).tolist()  # type: ignore[attr-defined]
-    if op is Op.CONTAINS:
-        return view.contains_batch(column).tolist()  # type: ignore[attr-defined]
-    if op is Op.POINT_QUERY:
-        return view.point_query_batch(column).tolist()  # type: ignore[attr-defined]
-    raise ValueError(f"op {op!r} is not process-dispatchable")
+    kernel = BATCH_KERNELS.get(op)
+    if kernel is None:
+        raise ValueError(f"op {op!r} is not process-dispatchable")
+    return getattr(view, kernel)(np.asarray(payload, dtype=np.float64)).tolist()
 
 
 def _picklable(exc: BaseException) -> BaseException:
@@ -405,11 +401,7 @@ class ProcessShardExecutor:
         values = np.fromiter(value, dtype=object, count=len(shipped))
         if not stray.size:
             return values
-        out = np.empty(len(column), dtype=object)
-        out[kept] = values
-        for i in stray.tolist():
-            out[i] = self.store.read_scalar(op, column[i])
-        return out
+        return self.store.merge_moved(op, column, kept, values)
 
     def execute_batch(self, shard: int, op: Op,
                       requests: Sequence[Request]) -> list[object]:

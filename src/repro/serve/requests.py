@@ -20,6 +20,7 @@ __all__ = [
     "Overloaded",
     "WorkerError",
     "OPS_BY_CODE",
+    "BATCH_KERNELS",
     "COALESCABLE_OPS",
     "READ_OPS",
     "WRITE_OPS",
@@ -32,6 +33,8 @@ class Op(enum.Enum):
     ``LOOKUP``/``CONTAINS``/``RANGE_1D`` target one-dimensional stores;
     ``POINT_QUERY``/``RANGE_QUERY``/``KNN`` target multi-dimensional
     ones; ``INSERT``/``DELETE`` require a mutable underlying index.
+
+    A point-shaped op's value names the index method that answers it.
 
     Every member also carries ``code``, its position in declaration
     order: the serving layer extracts a window's ops as one small-int
@@ -61,8 +64,14 @@ class Op(enum.Enum):
 #: ``Op.code`` -> member: turns a window's op-code column back into ops.
 OPS_BY_CODE = tuple(Op)
 
-#: Scalar point-shaped reads the coalescer may batch into ``*_batch`` kernels.
-COALESCABLE_OPS = frozenset({Op.LOOKUP, Op.CONTAINS, Op.POINT_QUERY})
+#: The one op -> batch-kernel table: each scalar point-shaped read the
+#: coalescer may fuse, with the index method that answers a run of it.
+BATCH_KERNELS = {
+    Op.LOOKUP: "lookup_batch",
+    Op.CONTAINS: "contains_batch",
+    Op.POINT_QUERY: "point_query_batch",
+}
+COALESCABLE_OPS = frozenset(BATCH_KERNELS)
 
 #: Operations that never mutate the store (cacheable).
 READ_OPS = frozenset(

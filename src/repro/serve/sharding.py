@@ -19,13 +19,13 @@ gets its rank in the global sorted order and a multi-d point gets its
 row position in the build array, so sharded answers are exactly what one
 unsharded index would return.
 
-Thread safety: one ``RLock`` per shard.  Mutating calls (``build`` /
-``insert`` / ``delete``) and every query that touches shard state
-acquire the owning shard's lock; fan-out queries acquire the involved
-shard locks one at a time (never nested), so workers draining different
-shards cannot deadlock.  Writes bump the shard's generation counter
-under the same lock, which is what the result cache keys invalidation
-on.
+Thread safety: one ``RLock`` per shard.  Mutating calls (``insert`` /
+``delete`` / the re-partition methods) and every query that touches
+shard state acquire the owning shard's lock; fan-out queries acquire
+the involved shard locks one at a time (never nested), so workers
+draining different shards cannot deadlock.  Writes bump the shard's
+generation counter under the same lock, which is what the result cache
+keys invalidation on.
 
 Re-partitioning (the ``repro.tune`` actuator surface): ``rebalance``
 swaps the shard boundaries while holding *every* shard lock in
@@ -33,9 +33,10 @@ increasing rank order, bumping *all* generations atomically, so no
 cached result and no in-flight routed request can straddle two
 partitions.  Because routing reads the bounds without a lock, every
 query path re-validates its routing decision after taking the shard
-lock — either by re-routing the key or by checking that
-``bounds_version`` has not moved — and restarts when a rebalance won
-the race.
+lock, and restarts when a rebalance won the race.  That protocol is
+written twice: :meth:`ShardedStore._owner_call` (one key or point, one
+shard: re-route under the lock) and :meth:`ShardedStore._fan_out`
+(several shards in turn: re-check ``bounds_version`` under each lock).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import bisect
 import json
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from repro.core.lockorder import make_rlock
 from repro.core.state import IndexState
 from repro.curves.capacity import require_code_budget
 from repro.curves.zorder import zencode_array
-from repro.serve.requests import Op, Request
+from repro.serve.requests import BATCH_KERNELS, WRITE_OPS, Op, Request
 
 __all__ = ["ShardedStore", "STORE_SNAPSHOT_FORMAT", "STORE_SNAPSHOT_VERSION"]
 
@@ -85,11 +86,16 @@ def _code_table(ops: Sequence[Op]) -> np.ndarray:
 _KEY_ROUTED = _code_table([Op.LOOKUP, Op.CONTAINS, Op.INSERT, Op.DELETE])
 _POINT_ROUTED = _code_table([Op.POINT_QUERY, Op.INSERT, Op.DELETE])
 
-#: Coalescable op -> the shard index's batch kernel.
-_KERNELS = {
-    Op.LOOKUP: "lookup_batch",
-    Op.CONTAINS: "contains_batch",
-    Op.POINT_QUERY: "point_query_batch",
+#: Op -> how :meth:`ShardedStore.execute` answers one request of it.
+_EXECUTE: dict[Op, Callable[[Any, Any], object]] = {
+    Op.LOOKUP: lambda store, r: store.lookup(float(r.key)),
+    Op.CONTAINS: lambda store, r: store.contains(float(r.key)),
+    Op.RANGE_1D: lambda store, r: store.range_query_1d(float(r.low), float(r.high)),
+    Op.POINT_QUERY: lambda store, r: store.point_query(r.point),
+    Op.RANGE_QUERY: lambda store, r: store.range_query(r.low, r.high),
+    Op.KNN: lambda store, r: store.knn_query(r.point, r.k),
+    Op.INSERT: lambda store, r: store.insert(store._target(r), r.value),
+    Op.DELETE: lambda store, r: store.delete(store._target(r)),
 }
 
 
@@ -118,7 +124,7 @@ class ShardedStore:
         self.num_shards = num_shards
         self._factory = factory
         self._bits = bits
-        self.shards: list[object] = []
+        self.shards: list[Any] = []
         self.generations = [0] * num_shards
         self._locks = [make_rlock("ShardedStore._locks", rank=s)
                        for s in range(num_shards)]
@@ -130,20 +136,21 @@ class ShardedStore:
         self._lo = np.empty(0)
         self._hi = np.empty(0)
         self._built = False
-        # Artifact provenance per shard: set by save_snapshot/from_snapshot
-        # so the process backend can pack segments straight from the files
-        # while the shard is still byte-identical to them (generation match).
-        self._artifact_dirs: list[Path | None] = [None] * num_shards
-        self._artifact_gens: list[int] = [-1] * num_shards
+        # Artifact provenance per shard: (directory, generation) set by
+        # save_snapshot/from_snapshot, so the process backend can pack
+        # segments straight from the files.  It holds only while the
+        # shard's generation still equals the recorded one: every change
+        # to a shard bumps its generation, which retires the artifact.
+        self._artifacts: list[tuple[Path, int] | None] = [None] * num_shards
 
     # -- construction ------------------------------------------------------
     def build(self, data: np.ndarray, values: Sequence[object] | None = None) -> "ShardedStore":
         """Partition ``data`` and build one index per shard.
 
-        Each per-shard ``build`` happens under that shard's lock; the
-        partition masks preserve the original input order inside every
+        The partition preserves the original input order inside every
         shard, so stable per-shard sorting reproduces the duplicate-key
-        ordering of a single unsharded build.
+        ordering of a single unsharded build.  Single-threaded: build
+        before serving.
         """
         probe = self._factory()
         if isinstance(probe, MultiDimIndex):
@@ -153,71 +160,78 @@ class ShardedStore:
                 f"factory must produce a OneDimIndex or MultiDimIndex, "
                 f"got {type(probe).__name__}"
             )
+        data = np.asarray(data)
+        route_keys = np.asarray(data, dtype=np.float64)
+        if route_keys.ndim != (2 if self.multi_dim else 1):
+            raise ValueError("multi-d data must have shape (n, d)" if self.multi_dim
+                             else "1-d data must be a flat key array")
+        n = len(route_keys)
+        if n and n < self.num_shards:
+            raise ValueError("need at least one key (or point) per shard")
+        if values is None and self.multi_dim:
+            values = list(range(n))
+        elif values is None:
+            # Global ranks in sorted order (the OneDimIndex default),
+            # aligned back to input positions.
+            ranks = np.empty(n, dtype=np.int64)
+            ranks[np.argsort(route_keys, kind="mergesort")] = np.arange(n)
+            values = ranks.tolist()
+        if len(values) != n:
+            raise ValueError("values must align with data")
         if self.multi_dim:
-            pts = np.asarray(data, dtype=np.float64)
-            if pts.ndim != 2:
-                raise ValueError("multi-d data must have shape (n, d)")
-            n, self.dims = pts.shape
-            if n and n < self.num_shards:
-                raise ValueError("need at least one point per shard")
-            self._lo = pts.min(axis=0) if n else np.zeros(self.dims)
-            self._hi = pts.max(axis=0) if n else np.ones(self.dims)
+            self.dims = route_keys.shape[1]
+            self._lo = route_keys.min(axis=0) if n else np.zeros(self.dims)
+            self._hi = route_keys.max(axis=0) if n else np.ones(self.dims)
             if self._bits is None:
                 self._bits = min(16, 62 // max(self.dims, 1))
             require_code_budget(self.dims, self._bits)
-            route_keys = self._encode(pts) if n else np.empty(0, dtype=np.int64)
-            if values is None:
-                values = list(range(n))
-        else:
-            arr = np.asarray(data, dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValueError("1-d data must be a flat key array")
-            n = arr.size
-            if n and n < self.num_shards:
-                raise ValueError("need at least one key per shard")
-            route_keys = arr
-            if values is None:
-                # Global ranks in sorted order (the OneDimIndex default),
-                # aligned back to input positions.
-                order = np.argsort(arr, kind="mergesort")
-                ranks = np.empty(n, dtype=np.int64)
-                ranks[order] = np.arange(n)
-                values = [int(r) for r in ranks]
-        if len(values) != n:
-            raise ValueError("values must align with data")
+            route_keys = self._encode(route_keys)
 
         self._bounds = self._split_bounds(route_keys)
         self._bound_list = self._bounds.tolist()
-        sids = (
-            np.searchsorted(self._bounds, route_keys, side="right")
-            if n else np.empty(0, dtype=np.int64)
-        )
-        self.shards = []
-        self._artifact_dirs = [None] * self.num_shards
-        self._artifact_gens = [-1] * self.num_shards
-        for s in range(self.num_shards):
-            rows = np.flatnonzero(sids == s)
-            part = data[rows] if n else (
-                np.empty((0, self.dims)) if self.multi_dim else np.empty(0)
-            )
-            part_values = [values[int(i)] for i in rows]
-            shard = self._factory()
-            with self._locks[s]:
-                shard.build(part, part_values)  # type: ignore[attr-defined]
-            self.shards.append(shard)
+        self.shards = self._partition(data, route_keys, values, self._bounds)
+        self._artifacts = [None] * self.num_shards
         self._built = True
         return self
 
+    def _partition(self, data: np.ndarray, route_keys: np.ndarray,
+                   values: Sequence[object], bounds: np.ndarray) -> list[Any]:
+        """One fresh factory index per shard over the rows ``bounds`` send
+        it, in input order (the split :meth:`build` and :meth:`rebalance`
+        share).  No reader can reach an index before the caller publishes
+        it, so the builds need no shard lock."""
+        sids = np.searchsorted(bounds, route_keys, side="right")
+        shards: list[Any] = []
+        for s in range(self.num_shards):
+            rows = np.flatnonzero(sids == s)
+            shard: Any = self._factory()
+            shard.build(data[rows], [values[i] for i in rows.tolist()])
+            shards.append(shard)
+        return shards
+
     def _split_bounds(self, route_keys: np.ndarray) -> np.ndarray:
-        """Quantile split values: shard ``s`` owns keys in (b[s-1], b[s]]."""
-        if self.num_shards == 1 or route_keys.size == 0:
-            return route_keys[:0]
+        """Quantile split values: shard ``s`` owns keys in (b[s-1], b[s]].
+
+        NaN keys take no part: a NaN bound would route differently under
+        the scalar bisect and the vectorized ``searchsorted``.
+        """
         ordered = np.sort(route_keys, kind="mergesort")
-        cuts = [
-            ordered[(s * ordered.size) // self.num_shards]
-            for s in range(1, self.num_shards)
-        ]
-        return np.asarray(cuts)
+        if ordered.size and np.isnan(ordered[-1]):     # NaN sorts last
+            ordered = ordered[:int(np.argmax(np.isnan(ordered)))]
+        if ordered.size == 0:
+            return ordered
+        return ordered[np.arange(1, self.num_shards) * ordered.size // self.num_shards]
+
+    def _checked_bounds(self, bounds: object) -> np.ndarray:
+        """Split bounds given from outside the store (``rebalance(bounds=)``,
+        a snapshot's ``store.json``) as an array, or ``ValueError``: there
+        must be ``num_shards - 1`` of them, non-decreasing and not NaN."""
+        arr = np.asarray(bounds, dtype=np.int64 if self.multi_dim else np.float64)
+        if arr.shape != (self.num_shards - 1,):
+            raise ValueError(f"need {self.num_shards - 1} split bounds, got {arr.size}")
+        if np.isnan(arr).any() or np.any(arr[1:] < arr[:-1]):
+            raise ValueError("split bounds must be non-decreasing and not NaN")
+        return arr
 
     def _encode(self, pts: np.ndarray) -> np.ndarray:
         """Morton codes of ``pts`` on the build-time lattice."""
@@ -235,7 +249,7 @@ class ShardedStore:
     # the CPU to whichever worker thread it just woke.  ``bisect_right``
     # is ``searchsorted(side="right")`` over a sorted list, NaN included
     # (it compares below nothing, so it lands past every bound), as long
-    # as the bounds themselves hold no NaN (``rebalance`` refuses one)
+    # as the bounds themselves hold no NaN (no bound source admits one)
     # and the key is the float64 a column would hold (an int past 2**53
     # rounds first).
     def route_key(self, key: float) -> int:
@@ -321,59 +335,67 @@ class ShardedStore:
         hi_s = bisect.bisect_right(bound_list, int(self._encode(hi)[0]))
         return tuple(range(lo_s, hi_s + 1))
 
-    # -- scalar queries ----------------------------------------------------
-    def lookup(self, key: float) -> object | None:
-        """Routed lookup; re-routes under the shard lock when a concurrent
-        rebalance moved the key between routing and locking."""
+    # -- the two locked call shapes ----------------------------------------
+    def _owner_call(self, route: Callable[[Any], int], target: Any, op: Op,
+                    value: object = None) -> Any:
+        """``op`` on the shard that owns ``target``, under that shard's lock.
+
+        ``route`` reads the bounds without a lock, so it runs again under
+        the lock; a rebalance that moved ``target`` in between sends the
+        call round again.  A read returns the shard index's answer; a
+        write goes through :meth:`_apply_writes` and returns its result
+        (an exception is returned, not raised).
+        """
         self._require_built()
         while True:
-            s = self.route_key(key)
+            s = route(target)
             with self._locks[s]:
-                if self.route_key(key) == s:
-                    return self.shards[s].lookup(key)  # type: ignore[attr-defined]
+                if route(target) == s:
+                    if op in WRITE_OPS:
+                        return self._apply_writes(s, [(op, target, value)])[0]
+                    return getattr(self.shards[s], op.value)(target)
 
-    def contains(self, key: float) -> bool:
-        """Routed membership test; re-routes under the shard lock when a
-        concurrent rebalance moved the key."""
-        self._require_built()
-        while True:
-            s = self.route_key(key)
-            with self._locks[s]:
-                if self.route_key(key) == s:
-                    return bool(self.shards[s].contains(key))  # type: ignore[attr-defined]
+    def _fan_out(self, shards: Callable[[], Iterable[int]], method: str,
+                 *args: object) -> list:
+        """``shard.method(*args)`` over the shards ``shards()`` routes to,
+        concatenated, each shard read under its own lock.
 
-    def point_query(self, point: Sequence[float]) -> object | None:
-        """Routed exact-point query; re-routes under the shard lock when a
-        concurrent rebalance moved the point's Morton code."""
-        self._require_built()
-        while True:
-            s = self.route_point(point)
-            with self._locks[s]:
-                if self.route_point(point) == s:
-                    return self.shards[s].point_query(point)  # type: ignore[attr-defined]
-
-    def range_query_1d(self, low: float, high: float) -> list[tuple[float, object]]:
-        """Concatenated shard scans: globally key-sorted, like one index.
-
-        The fan-out restarts from routing if a rebalance changes the
-        bounds mid-scan (validated under each shard lock), so one call
-        never mixes results from two different partitions.
+        Routing reads the bounds without a lock, so the bounds version
+        is taken first and re-checked under each shard lock; a rebalance
+        anywhere in the fan-out restarts it from routing, so one call
+        never mixes results from two partitions.
         """
         self._require_built()
         while True:
             version = self._bounds_version
-            lo_s = self.route_key(low)
-            hi_s = self.route_key(high)
-            out: list[tuple[float, object]] = []
-            stale = False
-            for s in range(lo_s, hi_s + 1):
+            out: list = []
+            for s in shards():
                 with self._locks[s]:
                     if self._bounds_version != version:
-                        stale = True
                         break
-                    out.extend(self.shards[s].range_query(low, high))  # type: ignore[attr-defined]
-            if not stale:
+                    out.extend(getattr(self.shards[s], method)(*args))
+            else:
                 return out
+
+    # -- scalar queries ----------------------------------------------------
+    def lookup(self, key: float) -> object | None:
+        """Routed lookup (see :meth:`_owner_call` for the lock protocol)."""
+        return self._owner_call(self.route_key, key, Op.LOOKUP)
+
+    def contains(self, key: float) -> bool:
+        """Routed membership test (see :meth:`_owner_call` for the lock protocol)."""
+        return bool(self._owner_call(self.route_key, key, Op.CONTAINS))
+
+    def point_query(self, point: Sequence[float]) -> object | None:
+        """Routed exact-point query (see :meth:`_owner_call` for the lock protocol)."""
+        return self._owner_call(self.route_point, point, Op.POINT_QUERY)
+
+    def range_query_1d(self, low: float, high: float) -> list[tuple[float, object]]:
+        """Concatenated shard scans: globally key-sorted, like one index
+        (see :meth:`_fan_out` for the lock protocol)."""
+        return self._fan_out(
+            lambda: range(self.route_key(low), self.route_key(high) + 1),
+            "range_query", low, high)
 
     def range_query(self, low: Sequence[float], high: Sequence[float]) -> list:
         """Multi-d box query over the Z-interval-pruned shard subset.
@@ -381,23 +403,11 @@ class ShardedStore:
         Returns the same result *multiset* as one unsharded index (the
         repo's range contract — each index class already has its own
         internal result order); here results come back in shard order,
-        each shard's slice in that index's native order.  Restarts if a
-        rebalance changes the bounds mid-fan-out (checked under each
-        shard lock).
+        each shard's slice in that index's native order.  See
+        :meth:`_fan_out` for the lock protocol.
         """
-        self._require_built()
-        while True:
-            version = self._bounds_version
-            out: list = []
-            stale = False
-            for s in self._range_shards(low, high):
-                with self._locks[s]:
-                    if self._bounds_version != version:
-                        stale = True
-                        break
-                    out.extend(self.shards[s].range_query(low, high))  # type: ignore[attr-defined]
-            if not stale:
-                return out
+        return self._fan_out(lambda: self._range_shards(low, high),
+                             "range_query", low, high)
 
     def knn_query(self, point: Sequence[float], k: int) -> list:
         """Merge per-shard kNN candidate sets into the global top-k.
@@ -406,96 +416,20 @@ class ShardedStore:
         contains the global ``k`` nearest; re-sorting with the same
         distance formula (:func:`point_distances`) and ``(distance, point,
         value)`` tie-break the scalar path uses reproduces the unsharded
-        answer.  Restarts if a rebalance lands mid-fan-out (checked under
-        each shard lock), so a point that moved between shards is never
-        seen zero or two times.
+        answer.  The fan-out restarts if a rebalance lands mid-way (see
+        :meth:`_fan_out` for the lock protocol), so a point that moved
+        between shards is never seen zero or two times.
         """
         self._require_built()
         if k <= 0:
             return []
         q = np.asarray(point, dtype=np.float64)
-        while True:
-            version = self._bounds_version
-            candidates: list = []
-            stale = False
-            for s in range(self.num_shards):
-                with self._locks[s]:
-                    if self._bounds_version != version:
-                        stale = True
-                        break
-                    candidates.extend(self.shards[s].knn_query(point, k))  # type: ignore[attr-defined]
-            if not stale:
-                break
+        candidates = self._fan_out(lambda: range(self.num_shards),
+                                   "knn_query", point, k)
         points = np.array([p for p, _ in candidates], dtype=np.float64)
         dists = point_distances(points.reshape(len(candidates), q.size), q)
         ranked = sorted((d, p, v) for d, (p, v) in zip(dists.tolist(), candidates))
         return [(p, v) for _, p, v in ranked[:k]]
-
-    # -- batched queries (the coalescer fast path) -------------------------
-    def lookup_batch(self, keys: Sequence[float]) -> np.ndarray:
-        """Routed scatter/gather over the per-shard ``lookup_batch`` kernels.
-
-        Restarts from routing if a rebalance changes the shard bounds
-        mid-flight (the version check runs under each shard lock, where
-        the bounds cannot move).
-        """
-        self._require_built()
-        arr = np.asarray(keys, dtype=np.float64)
-        out = np.empty(arr.size, dtype=object)
-        while True:
-            version = self._bounds_version
-            sids = np.searchsorted(self._bounds, arr, side="right")
-            stale = False
-            for s in np.unique(sids):
-                rows = np.flatnonzero(sids == s)
-                with self._locks[s]:
-                    if self._bounds_version != version:
-                        stale = True
-                        break
-                    out[rows] = self.shards[s].lookup_batch(arr[rows])  # type: ignore[attr-defined]
-            if not stale:
-                return out
-
-    def contains_batch(self, keys: Sequence[float]) -> np.ndarray:
-        """Routed batch membership; restarts on a mid-flight rebalance
-        (bounds-version check under each shard lock)."""
-        self._require_built()
-        arr = np.asarray(keys, dtype=np.float64)
-        out = np.empty(arr.size, dtype=bool)
-        while True:
-            version = self._bounds_version
-            sids = np.searchsorted(self._bounds, arr, side="right")
-            stale = False
-            for s in np.unique(sids):
-                rows = np.flatnonzero(sids == s)
-                with self._locks[s]:
-                    if self._bounds_version != version:
-                        stale = True
-                        break
-                    out[rows] = self.shards[s].contains_batch(arr[rows])  # type: ignore[attr-defined]
-            if not stale:
-                return out
-
-    def point_query_batch(self, points: np.ndarray) -> np.ndarray:
-        """Routed batch point query; restarts on a mid-flight rebalance
-        (bounds-version check under each shard lock)."""
-        self._require_built()
-        pts = np.asarray(points, dtype=np.float64)
-        codes = self._encode(pts)
-        out = np.empty(pts.shape[0], dtype=object)
-        while True:
-            version = self._bounds_version
-            sids = np.searchsorted(self._bounds, codes, side="right")
-            stale = False
-            for s in np.unique(sids):
-                rows = np.flatnonzero(sids == s)
-                with self._locks[s]:
-                    if self._bounds_version != version:
-                        stale = True
-                        break
-                    out[rows] = self.shards[s].point_query_batch(pts[rows])  # type: ignore[attr-defined]
-            if not stale:
-                return out
 
     # -- mutation ----------------------------------------------------------
     def _require_mutable(self, method: str) -> None:
@@ -512,81 +446,63 @@ class ShardedStore:
             )
 
     def insert(self, key_or_point: object, value: object = None) -> None:
-        """Routed insert; bumps the shard generation under the shard lock.
-
-        Re-routes under the lock when a concurrent rebalance moved the
-        key's owning shard, so a write never lands on a shard that no
-        longer owns it.
-        """
-        self._require_built()
-        self._require_mutable("insert")
-        if self.multi_dim:
-            while True:
-                s = self.route_point(key_or_point)  # type: ignore[arg-type]
-                with self._locks[s]:
-                    if self.route_point(key_or_point) == s:  # type: ignore[arg-type]
-                        self.shards[s].insert(key_or_point, value)  # type: ignore[attr-defined]
-                        self.generations[s] += 1
-                        return
-        else:
-            key = float(key_or_point)  # type: ignore[arg-type]
-            while True:
-                s = self.route_key(key)
-                with self._locks[s]:
-                    if self.route_key(key) == s:
-                        self.shards[s].insert(key, value)  # type: ignore[attr-defined]
-                        self.generations[s] += 1
-                        return
+        """Routed insert; bumps the shard generation under the shard lock."""
+        self._write(Op.INSERT, key_or_point, value)
 
     def delete(self, key_or_point: object) -> bool:
-        """Routed delete; bumps the shard generation under the shard lock.
+        """Routed delete; bumps the shard generation under the shard lock."""
+        return self._write(Op.DELETE, key_or_point)
 
-        Re-routes under the lock when a concurrent rebalance moved the
-        key's owning shard.
-        """
+    def _write(self, op: Op, target: object, value: object = None) -> Any:
+        """One routed write through :meth:`_owner_call`; raises what the
+        index raised (the shard lock's critical section still bumped the
+        generation, as :meth:`execute_writes` does for a failing row)."""
         self._require_built()
-        self._require_mutable("delete")
-        if self.multi_dim:
-            while True:
-                s = self.route_point(key_or_point)  # type: ignore[arg-type]
-                with self._locks[s]:
-                    if self.route_point(key_or_point) == s:  # type: ignore[arg-type]
-                        removed = bool(self.shards[s].delete(key_or_point))  # type: ignore[attr-defined]
-                        self.generations[s] += 1
-                        return removed
-        key = float(key_or_point)  # type: ignore[arg-type]
-        while True:
-            s = self.route_key(key)
-            with self._locks[s]:
-                if self.route_key(key) == s:
-                    removed = bool(self.shards[s].delete(key))  # type: ignore[attr-defined]
-                    self.generations[s] += 1
-                    return removed
+        self._require_mutable(op.value)
+        route = self.route_point if self.multi_dim else self.route_key
+        result = self._owner_call(route, target, op, value)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def _target(self, request: Request) -> Any:
+        """A write request's key (1-d) or point (multi-d)."""
+        return request.point if self.multi_dim else request.key
+
+    def _apply_writes(self, shard: int,
+                      writes: Sequence[tuple[Op, Any, object]]) -> list[object]:
+        """``(op, key or point, value)`` writes on ``shard`` in order, then
+        one generation bump.
+
+        Every caller holds the shard lock, so the bump versions exactly
+        these writes.  A row's result is what the scalar path returns
+        (``None`` for an insert, the removed flag for a delete) or the
+        exception it raised: a failing row fails alone.
+        """
+        index = self.shards[shard]
+        results: list[object] = []
+        for op, target, value in writes:
+            try:
+                self._require_mutable(op.value)
+                if not self.multi_dim:
+                    target = float(target)
+                if op is Op.INSERT:
+                    index.insert(target, value)
+                    results.append(None)
+                else:
+                    results.append(bool(index.delete(target)))
+            except Exception as exc:
+                results.append(exc)
+        self.generations[shard] += 1
+        return results
 
     # -- request execution (used by the coalescer workers) -----------------
     def execute(self, request: Request) -> object:
         """Answer one request through the scalar index paths."""
-        op = request.op
-        if op is Op.LOOKUP:
-            return self.lookup(float(request.key))  # type: ignore[arg-type]
-        if op is Op.CONTAINS:
-            return self.contains(float(request.key))  # type: ignore[arg-type]
-        if op is Op.RANGE_1D:
-            return self.range_query_1d(float(request.low), float(request.high))  # type: ignore[arg-type]
-        if op is Op.POINT_QUERY:
-            return self.point_query(request.point)  # type: ignore[arg-type]
-        if op is Op.RANGE_QUERY:
-            return self.range_query(request.low, request.high)  # type: ignore[arg-type]
-        if op is Op.KNN:
-            return self.knn_query(request.point, request.k)  # type: ignore[arg-type]
-        if op is Op.INSERT:
-            self.insert(
-                request.point if self.multi_dim else request.key, request.value
-            )
-            return None
-        if op is Op.DELETE:
-            return self.delete(request.point if self.multi_dim else request.key)
-        raise ValueError(f"unknown op {op!r}")
+        call = _EXECUTE.get(request.op)
+        if call is None:
+            raise ValueError(f"unknown op {request.op!r}")
+        return call(self, request)
 
     def execute_writes(self, shard: int, requests: Sequence[Request]) -> list[object]:
         """Apply a stretch of writes queued on ``shard``, in order, under
@@ -602,35 +518,23 @@ class ShardedStore:
         together, so per-key order holds).
         """
         self._require_built()
-        column = np.asarray(
-            [r.point if self.multi_dim else r.key for r in requests], dtype=np.float64)
+        targets = [self._target(r) for r in requests]
+        column = np.asarray(targets, dtype=np.float64)
         results: list[object] = [None] * len(requests)
         with self._locks[shard]:
             mine = self._route_column(column) == shard
-            index = self.shards[shard]
             rows = np.flatnonzero(mine).tolist()
-            for i in rows:
-                results[i] = self._apply_write(index, requests[i])
             if rows:
-                self.generations[shard] += 1
+                done = self._apply_writes(shard, [
+                    (requests[i].op, targets[i], requests[i].value) for i in rows])
+                for i, result in zip(rows, done):
+                    results[i] = result
         for i in np.flatnonzero(~mine).tolist():
             try:
-                results[i] = self.execute(requests[i])
+                results[i] = self._write(requests[i].op, targets[i], requests[i].value)
             except Exception as exc:
                 results[i] = exc
         return results
-
-    def _apply_write(self, index: object, request: Request) -> object:
-        """One write on a locked shard index; an exception is returned."""
-        try:
-            self._require_mutable(request.op.value)
-            target = request.point if self.multi_dim else float(request.key)  # type: ignore[arg-type]
-            if request.op is Op.INSERT:
-                index.insert(target, request.value)  # type: ignore[attr-defined]
-                return None
-            return bool(index.delete(target))  # type: ignore[attr-defined]
-        except Exception as exc:
-            return exc
 
     @staticmethod
     def request_column(op: Op, requests: Sequence[Request]) -> np.ndarray:
@@ -660,15 +564,24 @@ class ShardedStore:
         self._require_built()
         return np.flatnonzero(self._route_column(column) != shard)
 
-    def read_scalar(self, op: Op, row: object) -> object:
+    def read_scalar(self, op: Op, row: Any) -> object:
         """One row of a coalescable run through the routed scalar path."""
-        if op is Op.LOOKUP:
-            return self.lookup(float(row))  # type: ignore[arg-type]
-        if op is Op.CONTAINS:
-            return self.contains(float(row))  # type: ignore[arg-type]
+        if op not in BATCH_KERNELS:
+            raise ValueError(f"op {op!r} is not coalescable")
         if op is Op.POINT_QUERY:
-            return self.point_query(tuple(row.tolist()))  # type: ignore[attr-defined]
-        raise ValueError(f"op {op!r} is not coalescable")
+            return self.execute(Request(op, point=tuple(row.tolist())))
+        return self.execute(Request(op, key=float(row)))
+
+    def merge_moved(self, op: Op, column: np.ndarray, kept: np.ndarray,
+                    answers: np.ndarray) -> np.ndarray:
+        """A run's answer column from the kernel ``answers`` of its
+        ``kept`` rows (a mask) plus :meth:`read_scalar` for the rows a
+        rebalance moved off the shard (both backends' fallback)."""
+        out = np.empty(len(column), dtype=object)
+        out[kept] = answers
+        for i in np.flatnonzero(~kept).tolist():
+            out[i] = self.read_scalar(op, column[i])
+        return out
 
     def execute_columns(self, shard: int, op: Op, column: np.ndarray) -> np.ndarray:
         """Answer a same-shard run of one coalescable op in one kernel call.
@@ -685,7 +598,7 @@ class ShardedStore:
         is released.
         """
         self._require_built()
-        kernel = _KERNELS.get(op)
+        kernel = BATCH_KERNELS.get(op)
         if kernel is None:
             raise ValueError(f"op {op!r} is not coalescable")
         with self._locks[shard]:
@@ -693,14 +606,8 @@ class ShardedStore:
             batch = getattr(self.shards[shard], kernel)
             if mine.all():
                 return _as_objects(batch(column))
-            out = np.empty(len(column), dtype=object)
-            rows = np.flatnonzero(mine)
-            if rows.size:
-                out[rows] = _as_objects(batch(column[rows]))
-            moved = np.flatnonzero(~mine)
-        for i in moved.tolist():
-            out[i] = self.read_scalar(op, column[i])
-        return out
+            answers = _as_objects(batch(column[mine])) if mine.any() else []
+        return self.merge_moved(op, column, mine, answers)
 
     def execute_batch(self, shard: int, op: Op, requests: Sequence[Request]) -> list[object]:
         """:meth:`execute_columns` for a run given as ``Request`` objects."""
@@ -718,18 +625,20 @@ class ShardedStore:
         """Monotonic partition version; bumped by every :meth:`rebalance`."""
         return self._bounds_version
 
-    def _shard_items_locked(self, shard: int) -> list:
-        """One shard's full (key/point, value) item list.
+    def _items_locked(self, shards: Iterable[int]) -> tuple[np.ndarray, list]:
+        """The ``(key or point, value)`` items of ``shards`` as a float64
+        data column (keys, or ``(n, dims)`` points) and a value list.
 
-        The caller must hold the shard's lock.  1-d shards enumerate via
-        an unbounded range scan; multi-d shards scan the build-time
+        The caller must hold those shards' locks.  1-d shards enumerate
+        via an unbounded range scan; multi-d shards scan the build-time
         bounding box, which is the whole routable domain (the Morton
         lattice clamps points to it).
         """
-        index = self.shards[shard]
-        if self.multi_dim:
-            return list(index.range_query(self._lo, self._hi))  # type: ignore[attr-defined]
-        return list(index.range_query(-np.inf, np.inf))  # type: ignore[attr-defined]
+        low, high = (self._lo, self._hi) if self.multi_dim else (-np.inf, np.inf)
+        items = [item for s in shards for item in self.shards[s].range_query(low, high)]
+        shape = (len(items), self.dims) if self.multi_dim else (len(items),)
+        data = np.asarray([k for k, _v in items], dtype=np.float64).reshape(shape)
+        return data, [v for _k, v in items]
 
     def rebalance(self, sample: np.ndarray | None = None,
                   bounds: Sequence[float] | None = None) -> int:
@@ -753,67 +662,32 @@ class ShardedStore:
         so no stale read can survive a boundary move.  The bounds swap
         happens before the version bump; readers check the version
         *first*, so a version match under a shard lock proves their
-        routing snapshot is current.  Artifact provenance is cleared
-        (the shards no longer match any saved snapshot), which also
-        makes the process backend republish every worker snapshot.
+        routing snapshot is current.  The bumps also retire every
+        shard's artifact provenance, which makes the process backend
+        republish every worker snapshot.
         """
         self._require_built()
         with ExitStack() as stack:
             for s in range(self.num_shards):
                 stack.enter_context(self._locks[s])
-            items: list = []
-            for s in range(self.num_shards):
-                items.extend(self._shard_items_locked(s))
-            if self.multi_dim:
-                data = (np.asarray([p for p, _v in items], dtype=np.float64)
-                        .reshape(len(items), self.dims))
-                route_keys = (self._encode(data) if items
-                              else np.empty(0, dtype=np.int64))
-            else:
-                data = np.asarray([k for k, _v in items], dtype=np.float64)
-                route_keys = data
-            values = [v for _k, v in items]
-            sample_arr = (np.asarray(sample, dtype=np.float64)
-                          if sample is not None else np.empty(0))
-            # A NaN probe says nothing about where keys sit, and a NaN
-            # bound would route differently under the scalar bisect and
-            # the vectorized searchsorted: drop such samples, refuse
-            # such bounds.
-            if self.multi_dim:
-                sample_arr = sample_arr.reshape(-1, self.dims)
-                sample_arr = sample_arr[~np.isnan(sample_arr).any(axis=1)]
-            else:
-                sample_arr = sample_arr.reshape(-1)
-                sample_arr = sample_arr[~np.isnan(sample_arr)]
+            data, values = self._items_locked(range(self.num_shards))
+            route_keys = self._encode(data) if self.multi_dim else data
             if bounds is not None:
-                new_bounds = np.asarray(bounds, dtype=route_keys.dtype)
-                if new_bounds.size != self.num_shards - 1:
-                    raise ValueError(
-                        f"rebalance needs {self.num_shards - 1} split "
-                        f"bounds, got {new_bounds.size}"
-                    )
-            elif sample_arr.size:
-                new_bounds = self._split_bounds(
-                    self._encode(sample_arr) if self.multi_dim else sample_arr)
+                new_bounds = self._checked_bounds(bounds)
             else:
-                new_bounds = self._split_bounds(route_keys)
-            if np.isnan(new_bounds).any() or np.any(new_bounds[1:] < new_bounds[:-1]):
-                raise ValueError("rebalance bounds must be non-decreasing and not NaN")
-            sids = (np.searchsorted(new_bounds, route_keys, side="right")
-                    if route_keys.size else np.empty(0, dtype=np.int64))
+                # A NaN probe says nothing about where keys sit: drop it.
+                probe = np.asarray([] if sample is None else sample, dtype=np.float64)
+                probe = probe.reshape(-1, self.dims if self.multi_dim else 1)
+                probe = probe[~np.isnan(probe).any(axis=1)]
+                split = route_keys
+                if probe.size:
+                    split = self._encode(probe) if self.multi_dim else probe.ravel()
+                new_bounds = self._split_bounds(split)
+            fresh = self._partition(data, route_keys, values, new_bounds)
             for s in range(self.num_shards):
-                rows = np.flatnonzero(sids == s)
-                part = data[rows] if route_keys.size else (
-                    np.empty((0, self.dims)) if self.multi_dim else np.empty(0)
-                )
-                part_values = [values[int(i)] for i in rows]
-                fresh = self._factory()
-                fresh.build(part, part_values)  # type: ignore[attr-defined]
                 with self._locks[s]:
-                    self.shards[s] = fresh
+                    self.shards[s] = fresh[s]
                     self.generations[s] += 1
-                    self._artifact_dirs[s] = None
-                    self._artifact_gens[s] = -1
             self._bounds = new_bounds
             self._bound_list = new_bounds.tolist()
             self._bounds_version += 1
@@ -832,16 +706,14 @@ class ShardedStore:
         """
         self._require_built()
         with self._locks[shard]:
-            tune = getattr(self.shards[shard], "tune", None)
-            if tune is None or not callable(tune):
+            index = self.shards[shard]
+            if not callable(getattr(index, "tune", None)):
                 return False
             if candidates is None:
-                tune(list(workload))
+                index.tune(list(workload))
             else:
-                tune(list(workload), candidates=tuple(candidates))
+                index.tune(list(workload), candidates=tuple(candidates))
             self.generations[shard] += 1
-            self._artifact_dirs[shard] = None
-            self._artifact_gens[shard] = -1
         return True
 
     def rebuild_shard(self, shard: int) -> None:
@@ -859,42 +731,16 @@ class ShardedStore:
         """
         self._require_built()
         with self._locks[shard]:
-            compact = getattr(self.shards[shard], "compact", None)
-            if compact is not None:
-                compact()
-                self.generations[shard] += 1
-                self._artifact_dirs[shard] = None
-                self._artifact_gens[shard] = -1
-                return
-            items = self._shard_items_locked(shard)
-            if self.multi_dim:
-                data = (np.asarray([p for p, _v in items], dtype=np.float64)
-                        .reshape(len(items), self.dims))
+            index = self.shards[shard]
+            if callable(getattr(index, "compact", None)):
+                index.compact()
             else:
-                data = np.asarray([k for k, _v in items], dtype=np.float64)
-            values = [v for _k, v in items]
-            fresh = self._factory()
-            fresh.build(data, values)  # type: ignore[attr-defined]
-            self.shards[shard] = fresh
+                fresh: Any = self._factory()
+                fresh.build(*self._items_locked([shard]))
+                self.shards[shard] = fresh
             self.generations[shard] += 1
-            self._artifact_dirs[shard] = None
-            self._artifact_gens[shard] = -1
 
     # -- snapshot export (the multi-process backend's feed) ----------------
-    def export_shard(self, shard: int) -> tuple[object, int]:
-        """Export one shard's built state plus its current generation.
-
-        Runs under the shard's lock so the snapshot never observes a
-        half-applied write, and the returned generation is exactly the
-        one the snapshot reflects — the pair is what
-        :class:`repro.serve.mp.ProcessShardExecutor` publishes to worker
-        processes via :func:`repro.serve.shm.pack_state`.
-        """
-        self._require_built()
-        with self._locks[shard]:
-            state = self.shards[shard].export_state()  # type: ignore[attr-defined]
-            return state, self.generations[shard]
-
     def snapshot_source(self, shard: int) -> tuple[Path | None, IndexState | None, int]:
         """Best snapshot feed for one shard: artifact files or live export.
 
@@ -903,19 +749,17 @@ class ShardedStore:
         generation has not moved since), return that directory so the
         executor can pack the worker segment **straight from the files**
         (:func:`repro.serve.shm.pack_artifact`) — no state export, no
-        payload unpickle in the parent.  A shard that has seen writes
-        since falls back to a live :meth:`export_shard`-style export.
-        Returns ``(artifact_dir, state, generation)`` with exactly one
-        of the first two non-None.
+        payload unpickle in the parent.  A shard that has changed since
+        falls back to a live state export.  Returns ``(artifact_dir,
+        state, generation)`` with exactly one of the first two non-None.
         """
         self._require_built()
         with self._locks[shard]:
             generation = self.generations[shard]
-            source = self._artifact_dirs[shard]
-            if source is not None and generation == self._artifact_gens[shard]:
-                return source, None, generation
-            state = self.shards[shard].export_state()  # type: ignore[attr-defined]
-            return None, state, generation
+            artifact = self._artifacts[shard]
+            if artifact is not None and artifact[1] == generation:
+                return artifact[0], None, generation
+            return None, self.shards[shard].export_state(), generation
 
     # -- snapshot persistence (cold-start restore) -------------------------
     def save_snapshot(self, directory: str | Path) -> Path:
@@ -942,13 +786,12 @@ class ShardedStore:
             for s in range(self.num_shards):
                 rel = f"shard_{s:04d}"
                 with self._locks[s]:
-                    state = self.shards[s].export_state()  # type: ignore[attr-defined]
+                    state = self.shards[s].export_state()
                     generation = self.generations[s]
                 write_artifact(state, root / rel)
                 with self._locks[s]:
                     if self.generations[s] == generation:
-                        self._artifact_dirs[s] = root / rel
-                        self._artifact_gens[s] = generation
+                        self._artifacts[s] = (root / rel, generation)
                 shard_dirs.append(rel)
                 generations.append(generation)
             if self._bounds_version == version:
@@ -1009,8 +852,10 @@ class ShardedStore:
         store = cls(factory, num_shards=num_shards, bits=meta.get("bits"))
         store.multi_dim = bool(meta["multi_dim"])
         store.dims = int(meta["dims"])
-        bounds_dtype = np.int64 if store.multi_dim else np.float64
-        store._bounds = np.asarray(meta["bounds"], dtype=bounds_dtype)
+        try:
+            store._bounds = store._checked_bounds(meta["bounds"])
+        except (TypeError, ValueError) as exc:
+            raise ArtifactError(f"{meta_path}: bad partition bounds: {exc}") from exc
         store._bound_list = store._bounds.tolist()
         store._lo = np.asarray(meta["lo"], dtype=np.float64)
         store._hi = np.asarray(meta["hi"], dtype=np.float64)
@@ -1023,8 +868,7 @@ class ShardedStore:
             for rel in shard_dirs
         ]
         store.generations = generations
-        store._artifact_dirs = [root / rel for rel in shard_dirs]
-        store._artifact_gens = list(generations)
+        store._artifacts = [(root / rel, g) for rel, g in zip(shard_dirs, generations)]
         store._built = True
         return store
 
@@ -1038,7 +882,7 @@ class ShardedStore:
         out = IndexStats()
         for s in range(len(self.shards)):
             with self._locks[s]:
-                out = out.merge(self.shards[s].stats)  # type: ignore[attr-defined]
+                out = out.merge(self.shards[s].stats)
         return out
 
     def shard_sizes(self) -> list[int]:
@@ -1046,7 +890,7 @@ class ShardedStore:
         sizes: list[int] = []
         for s in range(len(self.shards)):
             with self._locks[s]:
-                sizes.append(len(self.shards[s]))  # type: ignore[arg-type]
+                sizes.append(len(self.shards[s]))
         return sizes
 
     def __len__(self) -> int:

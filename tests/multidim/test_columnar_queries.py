@@ -125,9 +125,15 @@ class TestOracleParity:
         assert got == [((-1.0, 0.0), 3), ((0.0, -1.0), 2), ((0.0, 1.0), 0), ((1.0, 0.0), 1)]
         assert index.knn_query([0.0, 0.0], 5)[-1] == ((1.0, 0.0), 4)
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(MULTI_DIM_FACTORIES))
+class TestNaNQueries:
+    """One answer to a NaN coordinate, in every family and warning-free:
+    no point matches it, no box with a NaN corner holds anything, and a
+    NaN kNN query has no neighbours."""
+
     def test_nan_behaviour_is_pinned(self, name):
-        # NaN queries answer empty: ZM and Flood mask them out, and the
-        # learned column ML-index searches orders a NaN key after every key.
         points = np.random.default_rng(3).uniform(0.0, 100.0, (200, 2))
         index = MULTI_DIM_FACTORIES[name]().build(points)
         nan = float("nan")
@@ -137,8 +143,20 @@ class TestOracleParity:
             assert index.range_query(lo, hi) == []
         lows, highs = (np.array(c) for c in zip(*boxes_with_nan))
         assert index.range_query_batch(lows, highs) == [[], [], []]
+        x, y = points[5]
+        for q in ([nan, y], [x, nan], [nan, nan]):
+            assert index.point_query(q) is None
+        assert list(index.point_query_batch(np.array([[nan, y], [x, nan]]))) == [None, None]
+        assert index.point_query_batch(points[5:6])[0] == 5
         assert index.knn_query([nan, 50.0], 3) == []
         assert index.knn_query([nan, nan], 2) == []
+        assert index.knn_query([x, nan], 1) == []
+
+    def test_sharded_store_knn_with_nan_is_empty(self, name):
+        points = np.random.default_rng(4).uniform(0.0, 100.0, (300, 2))
+        store = ShardedStore(MULTI_DIM_FACTORIES[name], num_shards=4).build(points)
+        assert store.knn_query((float("nan"), 5.0), 3) == []
+        assert store.point_query((float("nan"), 5.0)) is None
 
 
 class TestEmptyIndex:

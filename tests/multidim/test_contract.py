@@ -161,6 +161,7 @@ class TestMutableContract:
         assert {tuple(p) for p, _ in got} == live
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestInfiniteCoordinates:
     """+-inf is a coordinate like any other: a point holding one is not
     stored, and a box with infinite corners is an unbounded box."""

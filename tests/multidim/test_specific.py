@@ -66,6 +66,18 @@ class TestZMIndex:
         mask = np.all((pts >= lo) & (pts <= hi), axis=1)
         assert got == [int(i) for i in np.nonzero(mask)[0]]
 
+    def test_rebuild_to_empty_drops_the_old_build(self):
+        pts = np.random.default_rng(8).uniform(0.0, 100.0, (100, 2))
+        index = ZMIndex().build(pts)
+        assert len(index) == 100 and index.stats.size_bytes > 0
+        index.build(np.empty((0, 2)))
+        assert len(index) == 0
+        assert index.stats.size_bytes == 0
+        assert index.point_query(pts[3]) is None
+        assert list(index.point_query_batch(pts[:4])) == [None] * 4
+        assert index.range_query((0.0, 0.0), (100.0, 100.0)) == []
+        assert index.knn_query(pts[3], 5) == []
+
 
 class TestMLIndex:
     def test_pivot_count_respected(self, clustered_points):

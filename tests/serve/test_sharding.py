@@ -17,6 +17,21 @@ def _points(n=2000, d=2, seed=0):
     return np.random.default_rng(seed).uniform(0.0, 100.0, (n, d))
 
 
+def _routed_columns(store, op, column):
+    """``column`` answered the coalescer's way: routed by
+    ``route_columns``, then one ``execute_columns`` call per home shard."""
+    if op is Op.POINT_QUERY:
+        requests = [Request(op=op, point=tuple(p)) for p in column.tolist()]
+    else:
+        requests = [Request(op=op, key=k) for k in column.tolist()]
+    _, homes, routed = store.route_columns(requests)
+    out = np.empty(len(requests), dtype=object)
+    for shard in np.unique(homes).tolist():
+        rows = np.flatnonzero(homes == shard)
+        out[rows] = store.execute_columns(shard, op, routed[rows])
+    return out.tolist()
+
+
 class TestConstruction:
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
@@ -84,8 +99,9 @@ class TestOneDimParity:
         keys, direct, store = setup
         rng = np.random.default_rng(3)
         probe = np.concatenate([rng.choice(keys, 50), rng.uniform(-10, 2e6, 50)])
-        assert list(store.lookup_batch(probe)) == [store.lookup(k) for k in probe]
-        assert list(store.contains_batch(probe)) == [store.contains(k) for k in probe]
+        assert _routed_columns(store, Op.LOOKUP, probe) == [store.lookup(k) for k in probe]
+        assert _routed_columns(store, Op.CONTAINS, probe) == [
+            store.contains(k) for k in probe]
 
     def test_duplicate_keys_keep_global_order(self):
         keys = np.array([5.0, 1.0, 5.0, 3.0, 5.0, 2.0, 4.0, 0.5])
@@ -140,7 +156,7 @@ class TestMultiDimParity:
     def test_point_query_batch(self, setup):
         pts, _, store = setup
         probe = np.vstack([pts[:40], np.full((5, 2), -1.0)])
-        assert list(store.point_query_batch(probe)) == [
+        assert _routed_columns(store, Op.POINT_QUERY, probe) == [
             store.point_query(p) for p in probe
         ]
 

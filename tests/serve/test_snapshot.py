@@ -120,6 +120,35 @@ class TestStoreSnapshot:
         with pytest.raises(ArtifactError, match="newer than supported"):
             ShardedStore.from_snapshot(root)
 
+    @pytest.mark.parametrize("edit", [
+        lambda b: b[:1],                    # too few for 4 shards
+        lambda b: b + [b[-1] + 1.0, b[-1] + 2.0],   # too many
+        lambda b: b[::-1],                  # decreasing
+        lambda b: [b[0], float("nan"), b[2]],
+        lambda b: "not a list",
+    ], ids=["one-bound", "five-bounds", "reversed", "nan", "not-a-list"])
+    def test_rejects_bad_partition_bounds(self, tmp_path, edit):
+        """``store.json`` is outside input: bounds that would misroute
+        lookups (or fail on one) must not load."""
+        keys = load_1d("uniform", 1000, seed=39)
+        store = ShardedStore(_rmi, num_shards=4).build(keys)
+        root = store.save_snapshot(tmp_path / "snap")
+        meta = json.loads((root / "store.json").read_text())
+        meta["bounds"] = edit(meta["bounds"])
+        (root / "store.json").write_text(json.dumps(meta))
+        with pytest.raises(ArtifactError, match="partition bounds"):
+            ShardedStore.from_snapshot(root)
+
+    def test_rejects_bad_multi_dim_bounds(self, tmp_path):
+        pts = load_nd("uniform", 400, dims=2, seed=40)
+        store = ShardedStore(_zm, num_shards=3).build(pts)
+        root = store.save_snapshot(tmp_path / "snap")
+        meta = json.loads((root / "store.json").read_text())
+        meta["bounds"] = meta["bounds"][::-1]
+        (root / "store.json").write_text(json.dumps(meta))
+        with pytest.raises(ArtifactError, match="partition bounds"):
+            ShardedStore.from_snapshot(root)
+
     def test_rejects_missing_snapshot(self, tmp_path):
         with pytest.raises(ArtifactError):
             ShardedStore.from_snapshot(tmp_path / "nowhere")
