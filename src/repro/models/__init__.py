@@ -7,7 +7,6 @@ from repro.models.linear import EndpointLinearModel, LinearModel, fit_linear
 from repro.models.nn import TinyMLP
 from repro.models.pla import Segment, segment_greedy_splits, segment_stream, verify_epsilon
 from repro.models.polynomial import PolynomialModel
-from repro.models.spline import GreedySpline, SplineKnot, fit_greedy_spline
 
 __all__ = [
     "EmpiricalCDF",
@@ -25,7 +24,4 @@ __all__ = [
     "segment_stream",
     "verify_epsilon",
     "PolynomialModel",
-    "GreedySpline",
-    "SplineKnot",
-    "fit_greedy_spline",
 ]

@@ -14,6 +14,9 @@ Two algorithms are provided:
   by construction.  (This is the FITing-Tree algorithm and the standard
   practical PGM construction; the fully optimal O'Rourke variant saves at
   most a small constant factor of segments.)
+* :func:`spline_knots` — RadixSpline's greedy corridor over the same
+  cone kernel: the knots are data points and each corridor restarts at
+  the previous knot, so the pieces join into one continuous spline.
 * :func:`segment_greedy_splits` — fixed-size fallback used in tests as a
   trivially correct baseline.
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -42,7 +45,7 @@ if TYPE_CHECKING:
     from repro.core.interfaces import IndexStats
 
 __all__ = ["LearnedColumn", "Segment", "segment_stream", "segment_greedy_splits",
-           "verify_epsilon"]
+           "spline_knots", "verify_epsilon"]
 
 
 @dataclass(frozen=True)
@@ -110,12 +113,9 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
     handled by checking their position error directly (slope is
     irrelevant for a zero key delta).
 
-    :func:`_cones` evaluates the cone a block at a time.  A block spans
-    twice the mean segment length so far and doubles while the cone
-    stays open; while segments are short, one block holds the cones of
-    many speculative anchors (:data:`_TABLE_CELLS`) and the chain of cuts
-    walks through it.  The segments equal, float for float, those of the
-    one-point-at-a-time loop.
+    :func:`_cones` evaluates the cone a block at a time and :func:`_chain`
+    walks the cuts through the blocks.  The segments equal, float for
+    float, those of the one-point-at-a-time loop.
     """
     keys = np.ascontiguousarray(keys, dtype=np.float64)
     if keys.ndim != 1:
@@ -133,32 +133,11 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
         if positions.shape != keys.shape:
             raise ValueError("positions must align with keys")
 
-    segments: list[Segment] = []
-    limit = max(n >> 3, 1)  # block rows: temporaries stay small next to the keys
-    start = 0
     with np.errstate(all="ignore"):
-        while start < n:
-            lags = min(2 * -(-start // len(segments)) if segments else 2, limit, n - start)
-            anchors = min(_TABLE_CELLS // lags if 4 * lags * lags <= _TABLE_CELLS else 1, n - start)
-            cuts, run_lo, run_hi, fits = _cones(keys, positions, epsilon, start, anchors, 1, lags,
-                                                -math.inf, math.inf)
-            f = start
-            while f < start + anchors:
-                i = f - start
-                lag, j, block, seed = 1, cuts[i], lags, (-math.inf, math.inf)
-                lo, hi, ok = run_lo[i], run_hi[i], fits[i]
-                while ok[j]:
-                    # Open after the block: extend this cone alone, doubling.
-                    seed = (float(lo[-1]), float(hi[-1]))
-                    lag += block
-                    block = min(2 * block, limit, n + 1 - f - lag)
-                    (j,), lo, hi, ok = _cones(keys, positions, epsilon, f, 1, lag, block, *seed)
-                    lo, hi, ok = lo[0], hi[0], ok[0]
-                slope = _pick_slope(float(lo[j - 1]), float(hi[j - 1])) if j else _pick_slope(*seed)
-                segments.append(Segment(key=float(keys[f]), slope=slope,
-                                        anchor_pos=float(positions[f]), first=f, last=f + lag + j))
-                f += lag + j
-            start = f
+        cones = _chain(keys, positions, epsilon, _cones, 0)
+    segments = [Segment(key=float(keys[a]), slope=_pick_slope(lo, hi),
+                        anchor_pos=float(positions[a]), first=a, last=stop)
+                for a, stop, lo, hi in cones]
     if default_positions and _sanitize.enabled():
         # Dynamic cross-check of the construction guarantee: every index
         # built on these segments searches a window of epsilon + 1
@@ -179,25 +158,64 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
 #: consecutive anchors at once instead of one.
 _TABLE_CELLS = 2048
 
+_Kernel = Callable[..., "tuple[list[int], np.ndarray, np.ndarray, np.ndarray]"]
 
-def _cones(
-    keys: np.ndarray, positions: np.ndarray, epsilon: float, first: int, anchors: int,
-    lag: int, width: int, lo: float, hi: float,
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Shrinking cones of ``anchors`` consecutive anchors over one block.
 
-    Row ``i`` is the cone anchored at ``first + i`` and column ``j`` the
-    point ``lag + j`` rows past it.  Returns each row's first column that
-    does not fit (a fitting column if none fails), the running slope
-    bounds after each column (``lo`` / ``hi`` seed them) and the ``fits``
-    mask.  Points past the end read as NaN, which never fits, so a cone
-    that reaches the end closes at ``n``.
+def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Kernel,
+           back: int) -> list[tuple[int, int, float, float]]:
+    """The chain of cones over the sorted keys, one block at a time.
 
-    The bounds are ``(p - epsilon - p0) / dk`` and ``(p + epsilon - p0) /
-    dk``, the loop's formula and operation order.  A point with ``dk <=
-    0`` (a duplicate of the anchor) fits iff ``|p0 - p| <= epsilon`` and
-    leaves the bounds alone; a non-finite bound never fits.  Both are
-    masked only when the block holds one.
+    Each cone runs from its anchor to ``stop``, the first point that does
+    not fit (``n`` at the end); ``lo``/``hi`` are its running slope
+    bounds at the last point that does.  The next cone is anchored
+    ``back`` points before ``stop``.  Returns ``(anchor, stop, lo, hi)``
+    per cone.
+
+    A block spans twice the mean cone length so far and doubles while
+    the cone stays open; while cones are short, one block holds the
+    cones of many speculative anchors (:data:`_TABLE_CELLS`) and the
+    chain of cuts walks through it.
+    """
+    n = keys.size
+    limit = max(n >> 3, 1)  # block rows: temporaries stay small next to the keys
+    cones: list[tuple[int, int, float, float]] = []
+    start = 0
+    while start < n - back:
+        lags = min(2 * -(-start // len(cones)) if cones else 2, limit, n - start)
+        anchors = min(_TABLE_CELLS // lags if 4 * lags * lags <= _TABLE_CELLS else 1, n - start)
+        cuts, run_lo, run_hi, fits = kernel(keys, positions, epsilon, start, anchors, 1, lags,
+                                            -math.inf, math.inf)
+        f = start
+        while f < min(start + anchors, n - back):
+            i = f - start
+            lag, j, block, seed = 1, cuts[i], lags, (-math.inf, math.inf)
+            lo, hi, ok = run_lo[i], run_hi[i], fits[i]
+            while ok[j]:
+                # Open after the block: extend this cone alone, doubling.
+                seed = (float(lo[-1]), float(hi[-1]))
+                lag += block
+                block = min(2 * block, limit, n + 1 - f - lag)
+                (j,), lo, hi, ok = kernel(keys, positions, epsilon, f, 1, lag, block, *seed)
+                lo, hi, ok = lo[0], hi[0], ok[0]
+            stop = f + lag + j
+            cones.append((f, stop, *((float(lo[j - 1]), float(hi[j - 1])) if j else seed)))
+            f = stop - back
+        start = f
+    return cones
+
+
+def _bounds(
+    keys: np.ndarray, positions: np.ndarray, offsets: tuple[float, ...], first: int,
+    anchors: int, lag: int, width: int,
+) -> tuple[np.ndarray, float | np.ndarray, np.ndarray, np.ndarray]:
+    """Key offsets and slope bounds of ``anchors`` consecutive anchors over one block.
+
+    Row ``i`` is the anchor ``first + i`` and column ``j`` the point
+    ``lag + j`` rows past it.  Returns ``dk``, the anchor positions
+    ``p0``, the points' positions ``p`` and, stacked per offset ``d``,
+    ``(p + d - p0) / dk`` -- with ``d = -+epsilon`` the slope bounds in
+    the loops' formula and operation order.  Points past the end read as
+    NaN.
     """
     begin = first + lag
     end = begin + anchors + width - 1
@@ -211,35 +229,149 @@ def _cones(
         k0, p0 = float(keys[first]), float(positions[first])
     else:
         k0, p0 = keys[first:first + anchors, None], positions[first:first + anchors, None]
+    strips = np.add.outer(offsets, ps)
+    if anchors == 1:
+        dk = (ks - k0)[None]
+        strips -= p0
+        strips /= dk
+        return dk, p0, ps[None], strips[:, None]
+    # Row i of a window is its strip's [i:i + width], as a strided view.
+    rows = np.ndarray((len(offsets), anchors, width), np.float64, strips, 0,
+                      (8 * ps.size, 8, 8))
+    dk = np.ndarray((anchors, width), np.float64, ks, 0, (8, 8)) - k0
+    bounds = rows - p0
+    bounds /= dk
+    return dk, p0, np.ndarray((anchors, width), np.float64, ps, 0, (8, 8)), bounds
 
-    def window(col: np.ndarray) -> np.ndarray:
-        # Row i is col[i:i + width], as a strided view.
-        return np.ndarray((anchors, width), np.float64, col, 0, (8, 8))
 
-    dk = window(ks) - k0
-    c_lo = window(ps - epsilon) - p0
-    c_lo /= dk
-    c_hi = window(ps + epsilon) - p0
-    c_hi /= dk
-    ok: np.ndarray | None = None
-    if not (np.minimum.reduce(dk, axis=None) > 0.0
-            and math.isfinite(np.add.reduce(c_hi - c_lo, axis=None))):
-        dup = dk <= 0.0
-        dup_fits = dup & (np.abs(p0 - window(ps)) <= epsilon)
-        ok = (np.isfinite(c_lo) & np.isfinite(c_hi) & ~dup) | dup_fits
-        c_lo[dup_fits] = -np.inf
-        c_hi[dup_fits] = np.inf
-    # Seed with the carried bounds the way the loop's max/min keep them.
+def _accumulate(c_lo: np.ndarray, c_hi: np.ndarray, lo: float, hi: float) -> None:
+    """Running slope bounds along each row, in place, seeded with the
+    carried ``lo``/``hi`` the way the loops' max/min keep them."""
     if not c_lo[0, 0] > lo:
         c_lo[0, 0] = lo
     if not c_hi[0, 0] < hi:
         c_hi[0, 0] = hi
     np.maximum.accumulate(c_lo, axis=1, out=c_lo)
     np.minimum.accumulate(c_hi, axis=1, out=c_hi)
+
+
+def _cones(
+    keys: np.ndarray, positions: np.ndarray, epsilon: float, first: int, anchors: int,
+    lag: int, width: int, lo: float, hi: float,
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Shrinking cones of ``anchors`` consecutive anchors over one block.
+
+    Returns each row's first column that does not fit (a fitting column
+    if none fails), the running slope bounds after each column (``lo`` /
+    ``hi`` seed them) and the ``fits`` mask.  A point fits while the
+    running interval stays non-empty, so a cone that reaches the end
+    closes at ``n``.
+
+    A point with ``dk <= 0`` (a duplicate of the anchor) fits iff ``|p0
+    - p| <= epsilon`` and leaves the bounds alone; a non-finite bound
+    never fits.  Both are masked only when the block holds one.
+    """
+    dk, p0, ps, (c_lo, c_hi) = _bounds(keys, positions, (-epsilon, epsilon), first, anchors,
+                                       lag, width)
+    ok: np.ndarray | None = None
+    if not (np.minimum.reduce(dk, axis=None) > 0.0
+            and math.isfinite(np.add.reduce(c_hi - c_lo, axis=None))):
+        dup = dk <= 0.0
+        dup_fits = dup & (np.abs(p0 - ps) <= epsilon)
+        ok = (np.isfinite(c_lo) & np.isfinite(c_hi) & ~dup) | dup_fits
+        c_lo[dup_fits] = -np.inf
+        c_hi[dup_fits] = np.inf
+    _accumulate(c_lo, c_hi, lo, hi)
     fits = c_lo <= c_hi
     if ok is not None:
         fits &= ok
     return fits.argmin(axis=1).tolist(), c_lo, c_hi, fits
+
+
+def _corridors(
+    keys: np.ndarray, positions: np.ndarray, epsilon: float, first: int, anchors: int,
+    lag: int, width: int, lo: float, hi: float,
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """RadixSpline's corridors: :func:`_cones` with the spline's fit rule.
+
+    A point fits when its exact slope ``(p - p0) / dk`` is finite and
+    lies inside the running interval of the points before it.  Its own
+    bounds always hold that slope, so the interval that includes them
+    answers the same.  A cone's first point (``lag == 1``) is accepted
+    untested, and a duplicate of the anchor always fits and leaves the
+    bounds alone.
+    """
+    dk, _, _, (c_lo, slope, c_hi) = _bounds(keys, positions, (-epsilon, 0.0, epsilon), first,
+                                            anchors, lag, width)
+    fast = math.isfinite(np.add.reduce(slope, axis=None))  # no duplicate, pad or overflow
+    if not fast:
+        dup = dk <= 0.0
+        c_lo[dup] = -np.inf
+        c_hi[dup] = np.inf
+    _accumulate(c_lo, c_hi, lo, hi)
+    fits = c_lo <= slope
+    fits &= slope <= c_hi
+    if not fast:
+        fits &= np.isfinite(slope)
+        fits |= dup
+        if lag == 1:
+            fits[:, 0] = True
+    return fits.argmin(axis=1).tolist(), c_lo, c_hi, fits
+
+
+def spline_knots(keys: np.ndarray, max_error: float) -> tuple[np.ndarray, np.ndarray]:
+    """RadixSpline's greedy error-bounded spline over sorted ``keys``.
+
+    The spline interpolates between *knots*, which are data points: the
+    corridor from the current knot keeps the slopes whose line stays
+    within ``max_error`` positions of every point seen, and when a
+    point's exact slope leaves it, the point before becomes the next
+    knot and the next corridor starts there.  The first and last keys
+    are knots and knot keys strictly increase (a run of equal keys keeps
+    its first knot).
+
+    Returns:
+        The knot keys and knot positions, as two float64 columns.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
+    if keys.ndim != 1:
+        raise ValueError("keys must be one-dimensional")
+    if max_error < 0:
+        raise ValueError("max_error must be non-negative")
+    n = keys.size
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    with np.errstate(all="ignore"):
+        cones = _chain(keys, np.arange(n, dtype=np.float64), float(max_error), _corridors, 1)
+    bases = np.array([cone[0] for cone in cones] or [0], dtype=np.int64)
+    base_keys = keys[bases]
+    knots = bases[np.concatenate(([True], base_keys[1:] > base_keys[:-1]))]
+    if keys[-1] > keys[knots[-1]]:
+        knots = np.append(knots, n - 1)
+    if _sanitize.enabled():
+        worst = _corridor_error(keys, bases)
+        _sanitize.check(
+            worst <= max_error + 1.0,
+            f"spline_knots: corridor bound violated (worst error {worst} "
+            f"> max_error + 1 = {max_error + 1.0})",
+        )
+    return keys[knots], knots.astype(np.float64)
+
+
+def _corridor_error(keys: np.ndarray, bases: np.ndarray) -> float:
+    """Worst error of the points inside each corridor against the line from
+    its base to its last point.  Points equal to the base key, and those
+    whose key offset or line is not finite, carry no bound."""
+    ends = np.append(bases[1:], keys.size - 1)
+    idx = np.arange(keys.size)
+    cone = np.searchsorted(bases, idx, side="right") - 1
+    b, e = bases[cone], ends[cone]
+    with np.errstate(all="ignore"):
+        dk = keys - keys[b]
+        line = (e - b) / (keys[e] - keys[b]) * dk + b
+        err = np.abs(line - idx)
+    err = err[(dk > 0.0) & np.isfinite(dk) & np.isfinite(err)]
+    return float(err.max()) if err.size else 0.0
 
 
 def _pick_slope(lo: float, hi: float) -> float:
@@ -293,6 +425,30 @@ class LearnedColumn:
                   np.array([seg.slope for seg in segments], dtype=np.float64),
                   np.array([seg.anchor_pos for seg in segments], dtype=np.float64),
                   firsts, np.array([seg.last for seg in segments], dtype=np.int64))
+
+    @classmethod
+    def through(cls, keys: np.ndarray, knot_keys: np.ndarray,
+                knot_positions: np.ndarray) -> "LearnedColumn":
+        """The interpolating column through the knots of sorted ``keys``.
+
+        Knot ``s`` anchors segment ``s``, whose slope reaches knot ``s +
+        1`` and which covers positions ``[p_s, p_{s+1}]``; the last
+        segment is flat.  ``epsilon`` is the measured error over ``keys``
+        (ceiled), so it also covers the duplicate-key corner that voids
+        a fit's own bound.
+        """
+        firsts = knot_positions.astype(np.int64)
+        with np.errstate(divide="ignore", over="ignore"):
+            slopes = np.append(np.diff(knot_positions) / np.diff(knot_keys), 0.0)
+        column = cls.__new__(cls)
+        column._set(0, knot_keys, slopes, knot_positions, firsts,
+                    np.append(firsts[1:], firsts[-1:]) + 1)
+        # route_batch(keys) for sorted keys: a segment starts past its anchor.
+        starts = np.searchsorted(keys, knot_keys[1:], side="right")
+        seg = np.repeat(np.arange(len(column)), np.diff(starts, prepend=0, append=keys.size))
+        error = column.predict_batch(seg, keys) - np.arange(keys.size)
+        column.epsilon = int(np.ceil(np.abs(error).max()))
+        return column
 
     def _set(self, epsilon: int, keys: np.ndarray, slopes: np.ndarray,
              anchors: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> None:
@@ -352,16 +508,20 @@ class LearnedColumn:
         """:meth:`route` per row."""
         return np.maximum(np.searchsorted(self.keys, qs, side="left") - 1, 0)
 
+    def predict_batch(self, seg: np.ndarray | int, qs: np.ndarray) -> np.ndarray:
+        """:meth:`predict` per row, clamped into the segment (unrounded)."""
+        firsts, lasts = self.firsts[seg], self.lasts[seg]
+        with np.errstate(invalid="ignore"):  # a flat slope times +-inf is NaN
+            raw = self.slopes[seg] * (qs - self.keys[seg]) + self.anchors[seg]
+            finite = np.isfinite(raw)
+            if not finite.all():  # NaN compares false: it goes last
+                raw = np.where(finite, raw, np.where(raw < 0, firsts, lasts - 1))
+        return np.minimum(np.maximum(raw, firsts), lasts - 1)
+
     def search_batch(self, keys: np.ndarray, seg: np.ndarray | int, qs: np.ndarray,
                      stats: IndexStats) -> np.ndarray:
         """:meth:`search` per row; ``seg`` is one segment or one per row."""
-        raw = self.slopes[seg] * (qs - self.keys[seg]) + self.anchors[seg]
-        firsts, lasts = self.firsts[seg], self.lasts[seg]
-        finite = np.isfinite(raw)
-        if not finite.all():
-            with np.errstate(invalid="ignore"):  # NaN compares false: it goes last
-                raw = np.where(finite, raw, np.where(raw < 0, firsts, lasts - 1))
-        predicted = np.minimum(np.maximum(np.rint(raw), firsts), lasts - 1).astype(np.int64)
+        predicted = np.rint(self.predict_batch(seg, qs)).astype(np.int64)
         stats.model_predictions += qs.size
         return bounded_search_batch(keys, qs, predicted, self.epsilon + 1, stats)
 

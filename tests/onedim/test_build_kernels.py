@@ -2,8 +2,9 @@
 
 RMI fits each leaf on its slice of a stable ``argsort`` of the leaf ids
 instead of a ``leaf_ids == m`` mask; RadixSpline measures its true error
-with one vectorised spline evaluation instead of a scalar ``predict``
-per key.  Both must give the same parameters, element for element.
+with one vectorised ``LearnedColumn.predict_batch`` instead of a scalar
+``predict`` per key.  Both must give the same parameters, element for
+element.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.data import load_1d
 from repro.models.linear import LinearModel
-from repro.models.spline import fit_greedy_spline
+from repro.models.pla import LearnedColumn, spline_knots
 from repro.onedim.radix_spline import RadixSplineIndex
 from repro.onedim.rmi import RMIIndex
 
@@ -66,10 +67,14 @@ class TestRMILeafSlices:
         assert_leaves_match(index)
 
 
-def scalar_true_error(keys: np.ndarray, max_error: int) -> int:
-    spline = fit_greedy_spline(keys, float(max_error))
-    preds = np.array([spline.predict(float(k)) for k in keys])
-    return int(np.ceil(np.max(np.abs(preds - np.arange(keys.size)))))
+def scalar_predictions(col: LearnedColumn, qs: np.ndarray) -> list[float]:
+    """The column's clamped prediction per query, one scalar call at a time."""
+    out = []
+    for q in qs.tolist():
+        seg = col.route(q)
+        _, _, _, first, end = col._rows[seg]
+        out.append(float(min(max(col.predict(seg, q), first), end)))
+    return out
 
 
 class TestSplineErrorPass:
@@ -78,17 +83,18 @@ class TestSplineErrorPass:
     def test_true_error_equals_scalar_pass(self, dataset, max_error):
         keys = load_1d(dataset, 20000, seed=1)
         index = RadixSplineIndex(max_error=max_error).build(keys)
-        want = scalar_true_error(index._keys, max_error)
-        assert index._true_error == want
+        preds = scalar_predictions(index._column, index._keys)
+        want = int(np.ceil(np.max(np.abs(np.array(preds) - np.arange(index._keys.size)))))
+        assert index._column.epsilon == want
         assert index.stats.extra["true_error"] == want
 
     @settings(max_examples=40, deadline=None)
     @given(keys=st.lists(st.integers(-50, 50), min_size=1, max_size=200),
            queries=st.lists(st.floats(-60, 60, allow_nan=False), max_size=50),
            max_error=st.integers(1, 8))
-    def test_predict_array_equals_predict(self, keys, queries, max_error):
+    def test_predict_batch_equals_predict(self, keys, queries, max_error):
         keys = np.sort(np.array(keys, dtype=np.float64))
-        spline = fit_greedy_spline(keys, float(max_error))
-        qs = np.concatenate([keys, np.array(queries, dtype=np.float64)])
-        want = [spline.predict(float(q)) for q in qs]
-        assert repr(spline.predict_array(qs).tolist()) == repr(want)
+        col = LearnedColumn.through(keys, *spline_knots(keys, float(max_error)))
+        qs = np.concatenate([keys, np.array(queries, dtype=np.float64), [-np.inf, np.inf]])
+        got = col.predict_batch(col.route_batch(qs), qs)
+        assert repr(got.tolist()) == repr(scalar_predictions(col, qs))
