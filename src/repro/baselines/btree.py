@@ -156,11 +156,14 @@ class BPlusTreeIndex(MutableOneDimIndex):
         self.stats.extra["nodes"] = nodes
 
     # -- search -----------------------------------------------------------
-    def _find_leaf(self, key: float) -> _Node:
+    def _find_leaf(self, key: float, leftmost: bool = False) -> _Node:
+        """The leaf ``key`` routes to; ``leftmost`` picks the first leaf
+        that can hold it, where a run of equal keys spanning several
+        leaves starts (a range scan's start)."""
         node = self._root
         while not node.leaf:
             self.stats.nodes_visited += 1
-            idx = bisect.bisect_right(node.keys, key)
+            idx = (bisect.bisect_left if leftmost else bisect.bisect_right)(node.keys, key)
             self.stats.comparisons += max(1, len(node.keys).bit_length())
             node = node.children[idx]
         self.stats.nodes_visited += 1
@@ -179,9 +182,9 @@ class BPlusTreeIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
-        leaf: _Node | None = self._find_leaf(float(low))
+        leaf: _Node | None = self._find_leaf(float(low), leftmost=True)
         out: list[tuple[float, object]] = []
         idx = bisect.bisect_left(leaf.keys, float(low))
         while leaf is not None:

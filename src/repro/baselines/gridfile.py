@@ -263,7 +263,7 @@ class GridIndex(MutableMultiDimIndex):
         """Expanding-ring kNN over grid cells around the query."""
         self._require_built()
         q = np.asarray(point, dtype=np.float64)
-        if k <= 0 or self._size == 0 or np.isnan(q).any():
+        if k <= 0 or self._size == 0 or not np.isfinite(q).all():
             return []
         centre = self._cell_of(np.clip(q, self._lo, self._hi))
         cell_span = (self._hi - self._lo) / self.cells_per_dim

@@ -48,7 +48,7 @@ class HashIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
         self._ensure_sorted()
         first = bisect.bisect_left(self._sorted_keys, float(low))

@@ -130,7 +130,7 @@ class KDTreeIndex(MutableMultiDimIndex):
         """Classic branch-and-bound kNN with a bounded max-heap."""
         self._require_built()
         q = np.asarray(point, dtype=np.float64)
-        if k <= 0 or self._root is None or np.isnan(q).any():
+        if k <= 0 or self._root is None or not np.isfinite(q).all():
             return []
         heap: list[tuple[float, int, tuple, object]] = []  # max-heap via -dist
         counter = itertools.count()

@@ -56,7 +56,7 @@ class LinearScanIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
         arr = self._keys
         self.stats.keys_scanned += int(arr.size)

@@ -177,7 +177,7 @@ class LSMTreeIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
         merged: dict[float, object] = {}
         for run in self._runs:  # oldest first so newer runs overwrite

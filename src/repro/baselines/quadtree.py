@@ -196,7 +196,7 @@ class QuadTreeIndex(MutableMultiDimIndex):
         """Best-first kNN over cells ordered by min distance."""
         self._require_built()
         q = np.asarray(point, dtype=np.float64)
-        if k <= 0 or self._root is None or np.isnan(q).any():
+        if k <= 0 or self._root is None or not np.isfinite(q).all():
             return []
         counter = itertools.count()
         heap: list = [(0.0, next(counter), self._root, False)]

@@ -217,7 +217,7 @@ class RTreeIndex(MutableMultiDimIndex):
         """Best-first kNN over a min-heap of node/point distances."""
         self._require_built()
         q = np.asarray(point, dtype=np.float64)
-        if k <= 0 or self._size == 0 or np.isnan(q).any():
+        if k <= 0 or self._size == 0 or not np.isfinite(q).all():
             return []
         counter = itertools.count()
         heap: list[tuple[float, int, object, bool]] = []

@@ -89,7 +89,7 @@ class SkipListIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
         update = self._find_predecessors(float(low))
         node = update[0].forward[0]

@@ -91,7 +91,7 @@ class SortedArrayIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
         first = self._locate(low)
         out: list[tuple[float, object]] = []

@@ -475,11 +475,13 @@ class MultiDimIndex(abc.ABC):
         Results are ordered by ``(distance, point, value)``.  The default
         implementation expands a box over :meth:`_range_columns`, with
         vectorised distances, from the radius :meth:`_knn_seed_radius`
-        proposes; spatial trees override it with guided search.
+        proposes; spatial trees override it with guided search.  A query
+        with a NaN or infinite coordinate is at no finite distance from
+        any point and answers ``[]``.
         """
         self._require_built()
         q = np.asarray(point, dtype=np.float64)
-        if k <= 0 or np.isnan(q).any():
+        if k <= 0 or not np.isfinite(q).all():
             return []
         # Expanding-radius search: grow the box until it holds k
         # candidates whose true distance is within the box radius.

@@ -14,6 +14,7 @@ so indexes can bound their last-mile search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +35,16 @@ def fit_linear(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
         return 0.0, 0.0
     if xs.size == 1 or float(xs.max()) == float(xs.min()):
         return 0.0, float(ys.mean())
-    x_mean = xs.mean()
-    y_mean = ys.mean()
+    x_mean = float(xs.mean())
+    y_mean = float(ys.mean())
     denom = float(np.sum((xs - x_mean) ** 2))
-    slope = float(np.sum((xs - x_mean) * (ys - y_mean)) / denom)
-    intercept = float(y_mean - slope * x_mean)
-    if not (np.isfinite(slope) and np.isfinite(intercept)):
-        # Degenerate spacing (e.g. denormal-width key gaps overflow the
-        # slope): fall back to the constant model.
-        return 0.0, float(y_mean)
+    slope = float(np.sum((xs - x_mean) * (ys - y_mean))) / denom if denom > 0.0 else math.inf
+    intercept = y_mean - slope * x_mean
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        # Degenerate spacing (distinct keys only subnormal gaps apart
+        # square to a zero denominator, or overflow the slope): fall back
+        # to the constant model.
+        return 0.0, y_mean
     return slope, intercept
 
 

@@ -179,9 +179,14 @@ def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Ker
     n = keys.size
     limit = max(n >> 3, 1)  # block rows: temporaries stay small next to the keys
     cones: list[tuple[int, int, float, float]] = []
+
+    def guess(at: int) -> int:
+        """Twice the mean length of the cones before ``at``."""
+        return 2 * -(-at // len(cones)) if cones else 2
+
     start = 0
     while start < n - back:
-        lags = min(2 * -(-start // len(cones)) if cones else 2, limit, n - start)
+        lags = min(guess(start), limit, n - start)
         anchors = min(_TABLE_CELLS // lags if 4 * lags * lags <= _TABLE_CELLS else 1, n - start)
         cuts, run_lo, run_hi, fits = kernel(keys, positions, epsilon, start, anchors, 1, lags,
                                             -math.inf, math.inf)
@@ -191,10 +196,11 @@ def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Ker
             lag, j, block, seed = 1, cuts[i], lags, (-math.inf, math.inf)
             lo, hi, ok = run_lo[i], run_hi[i], fits[i]
             while ok[j]:
-                # Open after the block: extend this cone alone, doubling.
+                # Open after the block: extend this cone alone, doubling
+                # (a table row's cone jumps to the usual block at once).
                 seed = (float(lo[-1]), float(hi[-1]))
                 lag += block
-                block = min(2 * block, limit, n + 1 - f - lag)
+                block = min(max(2 * block, guess(f)), limit, n + 1 - f - lag)
                 (j,), lo, hi, ok = kernel(keys, positions, epsilon, f, 1, lag, block, *seed)
                 lo, hi, ok = lo[0], hi[0], ok[0]
             stop = f + lag + j
@@ -432,14 +438,17 @@ class LearnedColumn:
         """The interpolating column through the knots of sorted ``keys``.
 
         Knot ``s`` anchors segment ``s``, whose slope reaches knot ``s +
-        1`` and which covers positions ``[p_s, p_{s+1}]``; the last
-        segment is flat.  ``epsilon`` is the measured error over ``keys``
-        (ceiled), so it also covers the duplicate-key corner that voids
-        a fit's own bound.
+        1`` and which covers positions ``[p_s, p_{s+1}]``.  The last
+        segment covers only the last knot's position; it keeps the slope
+        before it (1 for a single knot), so an infinite query saturates
+        instead of meeting a flat ``0 * inf``.  ``epsilon`` is the
+        measured error over ``keys`` (ceiled), so it also covers the
+        duplicate-key corner that voids a fit's own bound.
         """
         firsts = knot_positions.astype(np.int64)
         with np.errstate(divide="ignore", over="ignore"):
-            slopes = np.append(np.diff(knot_positions) / np.diff(knot_keys), 0.0)
+            slopes = np.diff(knot_positions) / np.diff(knot_keys)
+        slopes = np.append(slopes, slopes[-1:] if slopes.size else 1.0)
         column = cls.__new__(cls)
         column._set(0, knot_keys, slopes, knot_positions, firsts,
                     np.append(firsts[1:], firsts[-1:]) + 1)
@@ -510,11 +519,11 @@ class LearnedColumn:
 
     def predict_batch(self, seg: np.ndarray | int, qs: np.ndarray) -> np.ndarray:
         """:meth:`predict` per row, clamped into the segment (unrounded)."""
+        raw = self.slopes[seg] * (qs - self.keys[seg]) + self.anchors[seg]
         firsts, lasts = self.firsts[seg], self.lasts[seg]
-        with np.errstate(invalid="ignore"):  # a flat slope times +-inf is NaN
-            raw = self.slopes[seg] * (qs - self.keys[seg]) + self.anchors[seg]
-            finite = np.isfinite(raw)
-            if not finite.all():  # NaN compares false: it goes last
+        finite = np.isfinite(raw)
+        if not finite.all():
+            with np.errstate(invalid="ignore"):  # NaN compares false: it goes last
                 raw = np.where(finite, raw, np.where(raw < 0, firsts, lasts - 1))
         return np.minimum(np.maximum(raw, firsts), lasts - 1)
 

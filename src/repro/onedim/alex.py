@@ -345,7 +345,7 @@ class ALEXIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low or self._root is None:
+        if not low <= high or self._root is None:
             return []
         low = float(low)
         high = float(high)

@@ -105,8 +105,8 @@ class FITingTreeIndex(MutableOneDimIndex):
     def _local_locate(self, seg: _FSegment, key: float) -> int:
         self.stats.model_predictions += 1
         raw = seg.slope * (key - seg.first_key) + seg.anchor_pos
-        if math.isinf(key):
-            # +-inf probes (open-ended scans): saturate the prediction.
+        if not math.isfinite(key):
+            # +-inf probes (open-ended scans) saturate; NaN goes last.
             raw = 0 if key < 0 else seg.keys.size - 1
         predicted = int(np.clip(round(raw), 0, max(seg.keys.size - 1, 0)))
         return bounded_binary_search(seg.keys, key, predicted, self.epsilon + 1, self.stats)
@@ -132,11 +132,15 @@ class FITingTreeIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low or not self._segments:
+        if not low <= high or not self._segments:
             return []
         low = float(low)
         high = float(high)
-        start_seg = self._segment_for(low)
+        # The last segment anchored strictly below ``low``: a run of equal
+        # keys can span several segments, and ``_segment_for`` (which must
+        # find an existing key) picks the last of them.
+        start_seg = max(bisect.bisect_left(self._boundaries, low) - 1, 0)
+        self.stats.comparisons += max(1, len(self._boundaries).bit_length())
         out: list[tuple[float, object]] = []
         for si in range(start_seg, len(self._segments)):
             seg = self._segments[si]

@@ -106,7 +106,7 @@ class HistTreeIndex(OneDimIndex):
         assert node is not None
         if key < node.lo:
             return 0
-        if key > node.hi:
+        if not key <= node.hi:  # NaN orders after every key
             return self._keys.size
         while True:
             self.stats.nodes_visited += 1
@@ -131,7 +131,7 @@ class HistTreeIndex(OneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low or self._root is None:
+        if not low <= high or self._root is None:
             return []
         start = self._locate(float(low))
         out: list[tuple[float, object]] = []

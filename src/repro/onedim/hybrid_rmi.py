@@ -16,6 +16,7 @@ from repro.baselines.btree import BPlusTreeIndex
 from repro.core.interfaces import OneDimIndex
 from repro.models.linear import LinearModel
 from repro.onedim._search import bounded_binary_search, exponential_search
+from repro.onedim.rmi import _leaf_of
 
 __all__ = ["HybridRMIIndex"]
 
@@ -92,8 +93,7 @@ class HybridRMIIndex(OneDimIndex):
     def _locate(self, key: float) -> int:
         n = self._keys.size
         self.stats.model_predictions += 1
-        root_pred = self._root.predict(key)
-        leaf_id = int(np.clip(root_pred / n * self.num_models, 0, self.num_models - 1))
+        leaf_id = _leaf_of(self._root.predict(key) / n * self.num_models, self.num_models)
         kind, payload, meta = self._leaves[leaf_id]
         self.stats.nodes_visited += 1
         if kind == "btree":
@@ -129,7 +129,7 @@ class HybridRMIIndex(OneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low or self._keys.size == 0:
+        if not low <= high or self._keys.size == 0:
             return []
         start = self._locate(float(low))
         out: list[tuple[float, object]] = []

@@ -44,7 +44,7 @@ class InterpolationBTreeIndex(BPlusTreeIndex):
             # correct; if key < lo_key, 0 is correct too.
             self.stats.comparisons += 1
             return 0
-        if key > hi_key:
+        if not key <= hi_key:  # NaN orders after every key
             self.stats.comparisons += 1
             return n
         span = hi_key - lo_key
@@ -60,11 +60,11 @@ class InterpolationBTreeIndex(BPlusTreeIndex):
             self.stats.corrections += 1
         return guess
 
-    def _find_leaf(self, key: float) -> _Node:
+    def _find_leaf(self, key: float, leftmost: bool = False) -> _Node:
         node = self._root
         while not node.leaf:
             self.stats.nodes_visited += 1
-            idx = self._interpolate_right(node.keys, key)
+            idx = (self._interpolate if leftmost else self._interpolate_right)(node.keys, key)
             node = node.children[idx]
         self.stats.nodes_visited += 1
         return node
@@ -94,9 +94,9 @@ class InterpolationBTreeIndex(BPlusTreeIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
-        leaf: _Node | None = self._find_leaf(float(low))
+        leaf: _Node | None = self._find_leaf(float(low), leftmost=True)
         out: list[tuple[float, object]] = []
         idx = self._interpolate(leaf.keys, float(low))
         while leaf is not None:

@@ -63,7 +63,8 @@ class LearnedHashIndex(MutableOneDimIndex):
             return 0
         if self.learned:
             frac = self._model.evaluate(key)
-            return min(int(frac * buckets), buckets - 1)
+            # NaN takes the last bucket, where it is absent.
+            return min(int(frac * buckets), buckets - 1) if frac == frac else buckets - 1
         return _classic_hash(key, buckets)
 
     def build(self, keys: Sequence[float], values: Sequence[object] | None = None) -> "LearnedHashIndex":
@@ -126,7 +127,7 @@ class LearnedHashIndex(MutableOneDimIndex):
         discusses.
         """
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
         low = float(low)
         high = float(high)

@@ -197,7 +197,7 @@ class LIPPIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low or self._root is None:
+        if not low <= high or self._root is None:
             return []
         out: list[tuple[float, object]] = []
         self._scan(self._root, float(low), float(high), out)

@@ -130,7 +130,7 @@ class NFLIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
         out: list[tuple[float, object]] = []
         if self._keys.size:

@@ -181,7 +181,7 @@ class PGMIndex(OneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low or self._keys.size == 0:
+        if not low <= high or self._keys.size == 0:
             return []
         start = self._locate(float(low))
         return scan_range(self._keys, self._values, start, high, self.stats)
@@ -436,7 +436,7 @@ class DynamicPGMIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low:
+        if not low <= high:
             return []
         merged: dict[float, object] = {}
         for index in self._static:

@@ -32,6 +32,12 @@ from repro.onedim._search import (
 __all__ = ["RMIIndex"]
 
 
+def _leaf_of(scaled: float, num_models: int) -> int:
+    """The leaf a root prediction scaled to ``[0, num_models)`` routes to,
+    clamped into range; NaN takes the last leaf."""
+    return int(max(scaled, 0)) if scaled < num_models - 1 else num_models - 1
+
+
 class RMIIndex(OneDimIndex):
     """Two-stage RMI over a sorted array.
 
@@ -161,8 +167,7 @@ class RMIIndex(OneDimIndex):
         """Lower-bound position of ``key`` via root -> leaf -> correction."""
         n = self._keys.size
         self.stats.model_predictions += 1
-        root_pred = self._root_predict(key)
-        leaf_id = int(min(max(root_pred / n * self.num_models, 0), self.num_models - 1))
+        leaf_id = _leaf_of(self._root_predict(key) / n * self.num_models, self.num_models)
         leaf = self._leaves[leaf_id]
         self.stats.model_predictions += 1
         self.stats.nodes_visited += 2
@@ -209,16 +214,15 @@ class RMIIndex(OneDimIndex):
         n = self._keys.size
         if n == 0 or m == 0:
             return out
+        # fmin, not clip: a NaN query routes to the last leaf and the end
+        # of the keys, as in the scalar path.
         root_pred = self._root_predict_array(qs)
-        leaf_ids = np.clip(
-            root_pred / n * self.num_models, 0, self.num_models - 1
-        ).astype(np.int64)
+        leaf_ids = np.fmin(np.maximum(root_pred / n * self.num_models, 0),
+                           self.num_models - 1).astype(np.int64)
         self.stats.model_predictions += 2 * m
         self.stats.nodes_visited += 2 * m
-        predicted = np.clip(
-            np.rint(self._leaf_slopes[leaf_ids] * qs + self._leaf_intercepts[leaf_ids]),
-            0, n - 1,
-        ).astype(np.int64)
+        raw = np.rint(self._leaf_slopes[leaf_ids] * qs + self._leaf_intercepts[leaf_ids])
+        predicted = np.fmin(np.maximum(raw, 0), n - 1).astype(np.int64)
         errors = self._leaf_error_arr[leaf_ids]
         lo = np.maximum(predicted - errors, 0)
         hi = np.minimum(predicted + errors + 1, n)
@@ -242,7 +246,7 @@ class RMIIndex(OneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low or self._keys.size == 0:
+        if not low <= high or self._keys.size == 0:
             return []
         start = self._locate(float(low))
         return scan_range(self._keys, self._values, start, high, self.stats)

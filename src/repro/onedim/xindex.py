@@ -99,6 +99,15 @@ class XIndexStyleIndex(MutableOneDimIndex):
         self.stats.comparisons += max(1, len(self._pivots).bit_length())
         return self._groups[max(idx, 0)]
 
+    @staticmethod
+    def _predict(group: _Group, key: float) -> int:
+        """The group model's position for ``key``, clamped into its run."""
+        raw = group.model.predict(key)
+        if not math.isfinite(key):
+            # +-inf probes (open-ended scans) saturate; NaN goes last.
+            raw = 0 if key < 0 else group.keys.size - 1
+        return int(np.clip(round(raw), 0, group.keys.size - 1))
+
     # -- reads ---------------------------------------------------------------
     def lookup(self, key: float) -> object | None:
         self._require_built()
@@ -109,11 +118,7 @@ class XIndexStyleIndex(MutableOneDimIndex):
         self.stats.nodes_visited += 1
         if group.keys.size:
             self.stats.model_predictions += 1
-            raw = group.model.predict(key)
-            if math.isinf(key):
-                # +-inf probes (open-ended scans): saturate the prediction.
-                raw = 0 if key < 0 else group.keys.size - 1
-            predicted = int(np.clip(round(raw), 0, group.keys.size - 1))
+            predicted = self._predict(group, key)
             pos = bounded_binary_search(group.keys, key, predicted, group.error + 1, self.stats)
             if pos < group.keys.size and group.keys[pos] == key:
                 self.stats.keys_scanned += 1
@@ -126,7 +131,7 @@ class XIndexStyleIndex(MutableOneDimIndex):
 
     def range_query(self, low: float, high: float) -> list[tuple[float, object]]:
         self._require_built()
-        if high < low or not self._groups:
+        if not low <= high or not self._groups:
             return []
         low = float(low)
         high = float(high)
@@ -163,11 +168,7 @@ class XIndexStyleIndex(MutableOneDimIndex):
             return
         # Replace in the run if present.
         if group.keys.size:
-            raw = group.model.predict(key)
-            if math.isinf(key):
-                # +-inf probes (open-ended scans): saturate the prediction.
-                raw = 0 if key < 0 else group.keys.size - 1
-            predicted = int(np.clip(round(raw), 0, group.keys.size - 1))
+            predicted = self._predict(group, key)
             pos = bounded_binary_search(group.keys, key, predicted, group.error + 1, self.stats)
             if pos < group.keys.size and group.keys[pos] == key:
                 group.values[pos] = value
@@ -226,11 +227,7 @@ class XIndexStyleIndex(MutableOneDimIndex):
             self._size -= 1
             return True
         if group.keys.size:
-            raw = group.model.predict(key)
-            if math.isinf(key):
-                # +-inf probes (open-ended scans): saturate the prediction.
-                raw = 0 if key < 0 else group.keys.size - 1
-            predicted = int(np.clip(round(raw), 0, group.keys.size - 1))
+            predicted = self._predict(group, key)
             pos = bounded_binary_search(group.keys, key, predicted, group.error + 1, self.stats)
             if pos < group.keys.size and group.keys[pos] == key:
                 group.keys = np.delete(group.keys, pos)

@@ -28,6 +28,14 @@ class TestFitLinear:
         assert slope == 0.0
         assert intercept == pytest.approx(2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("xs", [[0.0, 5e-324, 1e-323], [0.0, 1e-310, 2e-310]])
+    def test_subnormal_gaps_fall_back_to_constant(self, xs):
+        # Distinct keys whose squared deviations underflow to a zero
+        # denominator: a constant model, without dividing by zero.
+        slope, intercept = fit_linear(np.array(xs), np.array([0.0, 1.0, 2.0]))
+        assert np.isfinite(slope) and np.isfinite(intercept)
+
     def test_sorted_positions_give_nonnegative_slope(self):
         rng = np.random.default_rng(0)
         xs = np.sort(rng.uniform(0, 1e9, 500))

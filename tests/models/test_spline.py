@@ -169,7 +169,7 @@ class TestColumnThroughKnots:
         assert len(col) == knot_keys.size
         assert col.keys.tolist() == knot_keys.tolist()
         assert col.firsts.tolist() == knot_positions.astype(int).tolist()
-        assert col.slopes[-1] == 0.0
+        assert col.slopes[-1] == col.slopes[-2]
 
     def test_epsilon_is_the_measured_error(self):
         keys = np.repeat(np.arange(50, dtype=np.float64), 40)  # ties void the corridor bound

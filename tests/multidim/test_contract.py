@@ -178,6 +178,13 @@ class TestInfiniteCoordinates:
         for q in ([self.INF, y], [x, -self.INF], [-self.INF, self.INF], [self.INF, self.INF]):
             assert index.point_query(q) is None
 
+    def test_knn_of_a_point_with_an_infinite_coordinate_is_empty(self, built):
+        """No stored point is at a finite distance from it."""
+        index, points = built
+        x, y = points[7]
+        for q in ([self.INF, y], [x, -self.INF], [-self.INF, self.INF]):
+            assert index.knn_query(q, 3) == []
+
     def test_box_with_infinite_corners_matches_brute_force(self, built):
         index, points = built
         mid = np.median(points, axis=0)

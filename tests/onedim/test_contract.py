@@ -48,11 +48,12 @@ class TestLookupContract:
         assert index.lookup(-1e300) is None
         assert index.lookup(1e300) is None
 
-    @pytest.mark.parametrize("probe", [np.inf, -np.inf], ids=["+inf", "-inf"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("probe", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
     def test_infinite_probes_miss(self, any_factory, uniform_keys, probe):
-        """``±inf`` is a plain miss, scalar and batch alike: a learned
-        model's prediction at ``±inf`` must saturate, never reach
-        ``int()`` as an infinity (``OverflowError``)."""
+        """``±inf`` and NaN are plain misses, scalar and batch alike: a
+        learned model's prediction there must saturate (NaN orders after
+        every key), never reach ``int()`` as an infinity or a NaN."""
         index = any_factory().build(uniform_keys)
         assert index.lookup(probe) is None
         assert index.contains(probe) is False
@@ -94,6 +95,21 @@ class TestRangeContract:
     def test_range_between_keys_is_empty(self, any_factory):
         index = any_factory().build([1.0, 10.0])
         assert index.range_query(2.0, 9.0) == []
+
+    @pytest.mark.parametrize("low, high", [(np.nan, np.inf), (-np.inf, np.nan), (np.nan, np.nan)])
+    def test_nan_bound_is_empty(self, any_factory, uniform_keys, low, high):
+        """No key is ``>= NaN`` or ``<= NaN``: a NaN bound selects nothing."""
+        index = any_factory().build(uniform_keys)
+        assert index.range_query(low, high) == []
+
+    def test_range_starting_inside_a_tied_run(self, any_factory):
+        """A run of equal keys long enough to span several leaves or
+        segments: a range that starts at the run's key starts at its
+        first copy.  Factories that keep one copy per key keep one here."""
+        keys = np.concatenate([np.arange(200.0), np.full(300, 200.0), np.arange(201.0, 400.0)])
+        index = any_factory().build(keys)
+        wide = [k for k, _ in index.range_query(150.0, 250.0)]
+        assert len(index.range_query(200.0, 200.0)) == wide.count(200.0) > 0
 
     def test_inverted_range_is_empty(self, any_factory, uniform_keys):
         index = any_factory().build(uniform_keys)
