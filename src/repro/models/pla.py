@@ -172,9 +172,10 @@ def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Ker
     per cone.
 
     A block spans twice the mean cone length so far and doubles while
-    the cone stays open; while cones are short, one block holds the
-    cones of many speculative anchors (:data:`_TABLE_CELLS`) and the
-    chain of cuts walks through it.
+    the cone stays open (it quadruples until the first cone closes,
+    since nothing yet says how long cones are); while cones are short,
+    one block holds the cones of many speculative anchors
+    (:data:`_TABLE_CELLS`) and the chain of cuts walks through it.
     """
     n = keys.size
     limit = max(n >> 3, 1)  # block rows: temporaries stay small next to the keys
@@ -182,11 +183,11 @@ def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Ker
 
     def guess(at: int) -> int:
         """Twice the mean length of the cones before ``at``."""
-        return 2 * -(-at // len(cones)) if cones else 2
+        return 2 * -(-at // len(cones))
 
     start = 0
     while start < n - back:
-        lags = min(guess(start), limit, n - start)
+        lags = min(guess(start) if cones else 2, limit, n - start)
         anchors = min(_TABLE_CELLS // lags if 4 * lags * lags <= _TABLE_CELLS else 1, n - start)
         cuts, run_lo, run_hi, fits = kernel(keys, positions, epsilon, start, anchors, 1, lags,
                                             -math.inf, math.inf)
@@ -196,11 +197,12 @@ def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Ker
             lag, j, block, seed = 1, cuts[i], lags, (-math.inf, math.inf)
             lo, hi, ok = run_lo[i], run_hi[i], fits[i]
             while ok[j]:
-                # Open after the block: extend this cone alone, doubling
-                # (a table row's cone jumps to the usual block at once).
+                # Open after the block: extend this cone alone (a table
+                # row's cone jumps to the usual block at once).
                 seed = (float(lo[-1]), float(hi[-1]))
                 lag += block
-                block = min(max(2 * block, guess(f)), limit, n + 1 - f - lag)
+                grown = max(2 * block, guess(f)) if cones else 4 * block
+                block = min(grown, limit, n + 1 - f - lag)
                 (j,), lo, hi, ok = kernel(keys, positions, epsilon, f, 1, lag, block, *seed)
                 lo, hi, ok = lo[0], hi[0], ok[0]
             stop = f + lag + j
