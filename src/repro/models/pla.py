@@ -5,7 +5,7 @@ a sorted sequence of ``(key, position)`` pairs into the fewest segments
 such that, within each segment, a linear model predicts every position to
 within a user-chosen error ``epsilon``.
 
-Two algorithms are provided:
+Three algorithms are provided:
 
 * :func:`segment_stream` — single-pass *shrinking-cone* segmentation.  The
   segment is anchored at its first point; each new point narrows the
@@ -158,7 +158,7 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
 #: consecutive anchors at once instead of one.
 _TABLE_CELLS = 2048
 
-_Kernel = Callable[..., "tuple[list[int], np.ndarray, np.ndarray, np.ndarray]"]
+_Kernel = Callable[..., tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Kernel,
@@ -206,7 +206,8 @@ def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Ker
                 (j,), lo, hi, ok = kernel(keys, positions, epsilon, f, 1, lag, block, *seed)
                 lo, hi, ok = lo[0], hi[0], ok[0]
             stop = f + lag + j
-            cones.append((f, stop, *((float(lo[j - 1]), float(hi[j - 1])) if j else seed)))
+            lo_j, hi_j = (float(lo[j - 1]), float(hi[j - 1])) if j else seed
+            cones.append((f, stop, lo_j, hi_j))
             f = stop - back
         start = f
     return cones
@@ -231,18 +232,15 @@ def _bounds(
     if end > keys.size:
         pad = np.full(end - keys.size, np.nan)
         ks, ps = np.concatenate((ks, pad)), np.concatenate((ps, pad))
-    k0: float | np.ndarray
     p0: float | np.ndarray
-    if anchors == 1:  # scalars broadcast far cheaper than (1, 1) columns
-        k0, p0 = float(keys[first]), float(positions[first])
-    else:
-        k0, p0 = keys[first:first + anchors, None], positions[first:first + anchors, None]
     strips = np.add.outer(offsets, ps)
-    if anchors == 1:
-        dk = (ks - k0)[None]
+    if anchors == 1:  # scalars broadcast far cheaper than (1, 1) columns
+        p0 = float(positions[first])
+        dk = (ks - float(keys[first]))[None]
         strips -= p0
         strips /= dk
         return dk, p0, ps[None], strips[:, None]
+    k0, p0 = keys[first:first + anchors, None], positions[first:first + anchors, None]
     # Row i of a window is its strip's [i:i + width], as a strided view.
     rows = np.ndarray((len(offsets), anchors, width), np.float64, strips, 0,
                       (8 * ps.size, 8, 8))

@@ -42,7 +42,7 @@ class RadixSplineIndex(OneDimIndex):
         self.radix_bits = radix_bits
         self._keys = np.empty(0)
         self._values: list[object] = []
-        self._column: LearnedColumn | None = None
+        self._column = LearnedColumn(self._keys, max_error)
         self._values_arr = np.empty(0, dtype=object)
         self._radix_table = np.empty(0, dtype=np.int64)
         self._key_min = 0.0
@@ -51,8 +51,8 @@ class RadixSplineIndex(OneDimIndex):
     def build(self, keys: Sequence[float], values: Sequence[object] | None = None) -> "RadixSplineIndex":
         self._keys, self._values = self._prepare(keys, values)
         self._built = True
-        self._column = None
         if self._keys.size == 0:
+            self._column = LearnedColumn(self._keys, self.max_error)
             self._radix_table = np.zeros(2, dtype=np.int64)
             return self
 
@@ -149,7 +149,7 @@ class RadixSplineIndex(OneDimIndex):
     @property
     def num_knots(self) -> int:
         """Number of spline knots (the index's size driver)."""
-        return 0 if self._column is None else len(self._column)
+        return len(self._column)
 
     def __len__(self) -> int:
         return int(self._keys.size)
