@@ -714,9 +714,9 @@ def _mentions_digest(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     "The multi-process serving backend shares built indexes through "
     "shared-memory snapshots; that only stays safe if (a) segment "
     "creation/unlinking is confined to repro.serve.shm so ownership and "
-    "leak auditing have one choke point, (b) every function that maps "
-    "ndarray views over a shared buffer verifies the manifest digest "
-    "before trusting the bytes, and (c) export_state/from_state are "
+    "leak auditing have one choke point, (b) every function anywhere that "
+    "maps ndarray views over a buffer (the block decoder lives in core) "
+    "verifies the layout digest before trusting the bytes, and (c) export_state/from_state are "
     "overridden in pairs — a class flattening its state on export but "
     "inheriting the generic restore (or vice versa) reconstructs garbage.",
     ("serve", "shm", "state"),
@@ -752,20 +752,19 @@ def check_shared_state_discipline(ctx: AnalysisContext) -> Iterator[Finding]:
                         "release_segment so retirement follows the "
                         "owner-unlinks-after-remap discipline",
                     )
-        if in_serve:
-            for func in ast.walk(src.tree):
-                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                maps = [n for n in ast.walk(func)
-                        if isinstance(n, ast.Call) and _maps_shared_buffer(n)]
-                if maps and not _mentions_digest(func):
-                    yield _mk(
-                        "RPR010", src, maps[0].lineno, maps[0].col_offset,
-                        f"{func.name} maps ndarray views over a shared buffer "
-                        "without verifying the manifest digest first; a "
-                        "truncated or recycled segment would be served as "
-                        "index data",
-                    )
+        for func in ast.walk(src.tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            maps = [n for n in ast.walk(func)
+                    if isinstance(n, ast.Call) and _maps_shared_buffer(n)]
+            if maps and not _mentions_digest(func):
+                yield _mk(
+                    "RPR010", src, maps[0].lineno, maps[0].col_offset,
+                    f"{func.name} maps ndarray views over a shared buffer "
+                    "without verifying the manifest digest first; a "
+                    "truncated or recycled segment would be served as "
+                    "index data",
+                )
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.ClassDef):
                 continue

@@ -131,10 +131,9 @@ class BPlusTreeIndex(MutableOneDimIndex):
             self._root = root
 
     @classmethod
-    def from_state(cls, state: IndexState,
-                   arrays: list[np.ndarray] | None = None) -> "BPlusTreeIndex":
+    def from_state(cls, state: IndexState) -> "BPlusTreeIndex":
         """Rebuild the node graph bottom-up from the flattened columns."""
-        instance = super().from_state(state, arrays)
+        instance = super().from_state(state)
         assert isinstance(instance, BPlusTreeIndex)
         keys_arr, values = instance.__dict__.pop("_chain_flat")
         instance._load_sorted(np.asarray(keys_arr, dtype=np.float64),

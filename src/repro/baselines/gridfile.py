@@ -71,9 +71,9 @@ class GridIndex(MutableMultiDimIndex):
 
         The live structure holds one small ndarray per point plus one
         stacked pair per cell — roughly ``n`` distinct arrays, which
-        the artifact store would write (and later memmap) as ``n``
-        separate files.  Packing into a single ``(n, d)`` matrix plus
-        per-cell counts keeps the artifact at a handful of files and
+        the artifact store would lay out (and later view) as ``n``
+        separate blocks.  Packing into a single ``(n, d)`` matrix plus
+        per-cell counts keeps the artifact at a handful of blocks and
         makes the restore a pure slicing pass.
         """
         self._require_built()
@@ -103,10 +103,9 @@ class GridIndex(MutableMultiDimIndex):
             self._stacked = stacked
 
     @classmethod
-    def from_state(cls, state: IndexState,
-                   arrays: list[np.ndarray] | None = None) -> "GridIndex":
+    def from_state(cls, state: IndexState) -> "GridIndex":
         """Unpack the CSR columns back into per-cell buckets."""
-        instance = super().from_state(state, arrays)
+        instance = super().from_state(state)
         assert isinstance(instance, GridIndex)
         cids, counts, packed, values = instance.__dict__.pop("_packed")
         cells: dict[tuple[int, ...], list[tuple[np.ndarray, object]]] = {}

@@ -179,10 +179,9 @@ class SkipListIndex(MutableOneDimIndex):
                 setattr(self, name, value)
 
     @classmethod
-    def from_state(cls, state: IndexState,
-                   arrays: list[np.ndarray] | None = None) -> "SkipListIndex":
+    def from_state(cls, state: IndexState) -> "SkipListIndex":
         """Rebuild the tower chain from the flattened columns."""
-        instance = super().from_state(state, arrays)
+        instance = super().from_state(state)
         assert isinstance(instance, SkipListIndex)
         keys_arr, levels_arr, values = instance.__dict__.pop("_chain_flat")
         head = _SkipNode(-np.inf, None, _MAX_LEVEL)

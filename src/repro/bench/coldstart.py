@@ -1,11 +1,11 @@
 """E21 — cold start: artifact load vs. rebuild, time-to-first-query.
 
 The artifact store (:mod:`repro.core.artifact`) exists so a built index
-never has to be built twice: arrays come back as read-only ``np.memmap``
-views over digest-verified files, and reconstruction runs no training.
-E21 puts a number on that promise.  Each contender is built once and
-saved; the experiment then measures **time-to-first-query** along two
-paths:
+never has to be built twice: arrays come back as read-only views over a
+digest-verified mapped file, and reconstruction runs no training.  E21
+puts a number on that promise.  Each contender is built and saved; the
+experiment then measures **time-to-first-query** along two paths, each
+the best of ``repeats`` runs:
 
 * *rebuild*: fresh factory → ``build(data)`` → one query, and
 * *load*: :func:`~repro.core.artifact.load_index_artifact` with
@@ -23,7 +23,7 @@ A second section snapshots a built 4-shard
 ``build()`` on restore — measuring the same two paths through the full
 serving stack (coalescer start included).
 
-The first query is part of both measurements deliberately: memmap loads
+The first query is part of both measurements deliberately: mapped loads
 defer page-in, so excluding the query would flatter the load arm.
 """
 
@@ -65,7 +65,7 @@ _SERVER_SHARDS = 4
 
 
 def _artifact_nbytes(directory: Path) -> int:
-    """Total bytes of one artifact directory (manifest + arrays + payload)."""
+    """Total bytes of one artifact directory (manifest + blocks)."""
     return sum(p.stat().st_size for p in directory.rglob("*") if p.is_file())
 
 
@@ -76,31 +76,46 @@ def _first_query(index: object, data, multi_dim: bool) -> None:
         index.lookup(float(data[0]))  # type: ignore[attr-defined]
 
 
+def _best_of(repeats: int, run: Callable[[], object],
+             dispose: Callable[[object], None] = lambda _: None) -> tuple[float, object]:
+    """Fastest of ``repeats`` timed ``run()`` calls, and the last call's
+    result; every earlier result goes to ``dispose`` once the next call
+    has been timed."""
+    best, result = float("inf"), None
+    for i in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        fresh = run()
+        best = min(best, time.perf_counter() - t0)
+        if i:
+            dispose(result)
+        result = fresh
+    return best, result
+
+
 def _measure_index(name: str, factory: Callable[[], object], data,
                    multi_dim: bool, repeats: int) -> dict:
-    """Rebuild vs. artifact-load time-to-first-query for one contender."""
-    # Rebuild arm: factory -> build -> first query (measured once; builds
-    # at the large sizes are exactly the cost being amortised away).
-    t0 = time.perf_counter()
-    index = factory()
-    index.build(data)  # type: ignore[attr-defined]
-    _first_query(index, data, multi_dim)
-    rebuild_s = time.perf_counter() - t0
+    """Rebuild vs. artifact-load time-to-first-query for one contender.
 
+    Both arms are best of ``repeats``: one timed build swings the ratio
+    by more than the regression band at smoke sizes."""
+    def rebuild() -> object:
+        index = factory()
+        index.build(data)  # type: ignore[attr-defined]
+        _first_query(index, data, multi_dim)
+        return index
+
+    def load() -> object:
+        view = load_index_artifact(root, mmap_mode="r")
+        _first_query(view, data, multi_dim)
+        return view
+
+    rebuild_s, index = _best_of(repeats, rebuild)
     with tempfile.TemporaryDirectory(prefix="repro_e21_") as tmp:
         root = Path(tmp) / name
         save_index_artifact(index, root)
         nbytes = _artifact_nbytes(root)
         del index
-        # Load arm: best of `repeats` (load is cheap enough to repeat,
-        # and the best run is the honest steady-state cold start).
-        load_s = float("inf")
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            view = load_index_artifact(root, mmap_mode="r")
-            _first_query(view, data, multi_dim)
-            load_s = min(load_s, time.perf_counter() - t0)
-            del view
+        load_s, _ = _best_of(repeats, load)
     return {
         "build_s": rebuild_s,
         "load_s": load_s,
@@ -111,30 +126,29 @@ def _measure_index(name: str, factory: Callable[[], object], data,
 
 def _measure_server(name: str, factory: Callable[[], object], data,
                     multi_dim: bool, repeats: int) -> dict:
-    """Rebuild vs. snapshot-restore time-to-first-query for a 4-shard server."""
-    def query(server: IndexServer) -> None:
+    """Rebuild vs. snapshot-restore time-to-first-query for a 4-shard
+    server, each best of ``repeats``."""
+    def query(server: IndexServer) -> IndexServer:
         if multi_dim:
             server.point_query(data[0])
         else:
             server.lookup(float(data[0]))
+        return server
 
-    t0 = time.perf_counter()
-    server = IndexServer(factory, num_shards=_SERVER_SHARDS).build(data)
-    query(server)
-    rebuild_s = time.perf_counter() - t0
+    def close(server: object) -> None:
+        server.close()  # type: ignore[attr-defined]
 
+    rebuild_s, server = _best_of(
+        repeats, lambda: query(IndexServer(factory, num_shards=_SERVER_SHARDS).build(data)),
+        close)
     with tempfile.TemporaryDirectory(prefix="repro_e21_srv_") as tmp:
         root = Path(tmp) / name
-        server.save_snapshot(root)
+        server.save_snapshot(root)  # type: ignore[attr-defined]
         nbytes = _artifact_nbytes(root)
-        server.close()
-        restore_s = float("inf")
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            restored = IndexServer.from_snapshot(root, factory=factory)
-            query(restored)
-            restore_s = min(restore_s, time.perf_counter() - t0)
-            restored.close()
+        close(server)
+        restore_s, restored = _best_of(
+            repeats, lambda: query(IndexServer.from_snapshot(root, factory=factory)), close)
+        close(restored)
     return {
         "build_s": rebuild_s,
         "load_s": restore_s,
@@ -157,7 +171,7 @@ def run_e21(sizes: Sequence[int] | str = (100_000, 1_000_000),
             the classic control, where training time dominates.
         dataset: dataset name for both spaces.
         dims: dimensionality of the multi-d sweep.
-        repeats: load-arm repetitions (best-of; rebuild runs once).
+        repeats: repetitions of each arm (best-of, rebuild and load alike).
         seed: RNG seed for the datasets.
         out: JSON artifact path, or ``None``/"" to skip writing.
         smoke: shrink to a seconds-scale CI configuration.

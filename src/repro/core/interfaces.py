@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -192,7 +192,82 @@ class IndexStats:
         return merged
 
 
-class OneDimIndex(abc.ABC):
+_Index = TypeVar("_Index", bound="_BuiltState")
+
+
+class _BuiltState:
+    """The built-flag and built-state methods every index shares.
+
+    :meth:`export_state` splits the built index into shareable arrays
+    plus pickled residue (:mod:`repro.core.state`), :meth:`from_state`
+    rebuilds it without retraining, and :meth:`save` / :meth:`load`
+    write and map that state as an artifact directory
+    (:mod:`repro.core.artifact`).  A class overriding one of the pair
+    must override the other (the RPR010 pairing contract).
+    """
+
+    name: str
+
+    def __init__(self) -> None:
+        self.stats = IndexStats()
+        self._built = False
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def export_state(self) -> IndexState:
+        """Snapshot the built index: shareable arrays plus pickled residue."""
+        self._require_built()
+        return export_index_state(self)
+
+    @classmethod
+    def from_state(cls: type[_Index], state: IndexState) -> _Index:
+        """Rebuild an index from :meth:`export_state` output, no retraining."""
+        instance = index_from_state(state)
+        if not isinstance(instance, cls):
+            raise StateError(
+                f"state holds a {state.class_path()}, not a {cls.__name__}"
+            )
+        return instance
+
+    def save(self, path: str | Path) -> Path:
+        """Persist the built index as a verifiable artifact directory
+        (a ``manifest.json`` over one sha256-checked blocks file).
+        Reload it with :meth:`load` — no retraining."""
+        from repro.core.artifact import write_artifact
+
+        return write_artifact(self.export_state(), path)
+
+    @classmethod
+    def load(cls: type[_Index], path: str | Path, mmap_mode: str | None = "r") -> _Index:
+        """Reconstruct an index saved by :meth:`save`, without retraining:
+        ``mmap_mode="r"`` views the arrays read-only over the mapped blocks
+        file, ``None`` over a private writable copy (for heavy mutation)."""
+        from repro.core.artifact import read_artifact
+
+        return cls.from_state(read_artifact(path, mmap_mode=mmap_mode))
+
+    def _require_built(self) -> None:
+        if not self._built:
+            raise NotBuiltError(f"{self.name}: call build() before querying")
+
+    def _thaw(self, *names: str) -> None:
+        """Copy-on-write the named array attributes before in-place writes.
+
+        Arrays restored from a read-only mapping (``mmap_mode="r"``
+        loads, shared-memory views) are non-writeable; swapping in a
+        private copy on first mutation keeps the backing file or segment
+        byte-identical while letting mutable indexes mutate freely.
+        Writable arrays are left untouched, so the built/eager paths pay
+        nothing.
+        """
+        for name in names:
+            arr = getattr(self, name, None)
+            if isinstance(arr, np.ndarray) and not arr.flags.writeable:
+                setattr(self, name, arr.copy())
+
+
+class OneDimIndex(_BuiltState, abc.ABC):
     """A (possibly immutable) one-dimensional key -> value index.
 
     Keys are real numbers (ints or floats); values are arbitrary Python
@@ -203,10 +278,6 @@ class OneDimIndex(abc.ABC):
 
     #: Human-readable name used in benchmark tables.
     name: str = "one-dim-index"
-
-    def __init__(self) -> None:
-        self.stats = IndexStats()
-        self._built = False
 
     # -- construction ----------------------------------------------------
     @abc.abstractmethod
@@ -267,90 +338,6 @@ class OneDimIndex(abc.ABC):
             (r is not None for r in results), dtype=bool, count=results.size
         )
 
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    # -- built-state export (the shared-state contract) --------------------
-    def export_state(self) -> IndexState:
-        """Snapshot the built index: shareable arrays plus pickled residue.
-
-        The snapshot reconstructs via :meth:`from_state` without
-        retraining; the serving layer packs it into shared memory so
-        worker processes can map the arrays zero-copy
-        (:mod:`repro.serve.shm`).  Implementations overriding this must
-        override :meth:`from_state` too (the RPR010 pairing contract).
-        """
-        self._require_built()
-        return export_index_state(self)
-
-    @classmethod
-    def from_state(cls, state: IndexState,
-                   arrays: list[np.ndarray] | None = None) -> "OneDimIndex":
-        """Rebuild an index from :meth:`export_state` output, no retraining.
-
-        ``arrays`` optionally substitutes the exported arrays with
-        positionally aligned views (e.g. shared-memory mappings).
-        """
-        instance = index_from_state(state, arrays)
-        if not isinstance(instance, cls):
-            raise StateError(
-                f"state holds a {state.class_path()}, not a {cls.__name__}"
-            )
-        return instance
-
-    # -- on-disk persistence (the artifact store) --------------------------
-    def save(self, path: str | Path) -> Path:
-        """Persist the built index as a verifiable artifact directory.
-
-        Writes :meth:`export_state` output through
-        :func:`repro.core.artifact.write_artifact`: raw little-endian
-        array files plus a pickled payload, described by a
-        ``manifest.json`` with a sha256 per file.  Returns the artifact
-        directory; reload it with :meth:`load` — no retraining.
-        """
-        from repro.core.artifact import write_artifact
-
-        return write_artifact(self.export_state(), path)
-
-    @classmethod
-    def load(cls, path: str | Path,
-             mmap_mode: str | None = "r") -> "OneDimIndex":
-        """Reconstruct an index saved by :meth:`save`, without retraining.
-
-        Args:
-            path: the artifact directory.
-            mmap_mode: ``"r"`` (default) maps arrays lazily as read-only
-                ``np.memmap`` views — instant cold start, zero copies;
-                ``None`` materializes private writable arrays eagerly
-                (use this when the index will be mutated heavily).
-
-        Every file is digest-verified before any bytes are mapped or
-        unpickled.
-        """
-        from repro.core.artifact import read_artifact
-
-        return cls.from_state(read_artifact(path, mmap_mode=mmap_mode))
-
-    # -- helpers ----------------------------------------------------------
-    def _require_built(self) -> None:
-        if not self._built:
-            raise NotBuiltError(f"{self.name}: call build() before querying")
-
-    def _thaw(self, *names: str) -> None:
-        """Copy-on-write the named array attributes before in-place writes.
-
-        Arrays restored from a read-only mapping (``mmap_mode="r"``
-        loads, shared-memory views) are non-writeable; swapping in a
-        private copy on first mutation keeps the backing file or segment
-        byte-identical while letting mutable indexes mutate freely.
-        Writable arrays are left untouched, so the built/eager paths pay
-        nothing.
-        """
-        for name in names:
-            arr = getattr(self, name, None)
-            if isinstance(arr, np.ndarray) and not arr.flags.writeable:
-                setattr(self, name, arr.copy())
-
     @staticmethod
     def _prepare(keys: Sequence[float], values: Sequence[object] | None) -> tuple[np.ndarray, list[object]]:
         """Sort keys (with aligned values) and return ``(keys, values)``.
@@ -392,7 +379,7 @@ class MutableOneDimIndex(OneDimIndex):
         """Remove ``key``; return ``True`` if it was present."""
 
 
-class MultiDimIndex(abc.ABC):
+class MultiDimIndex(_BuiltState, abc.ABC):
     """A (possibly immutable) index over d-dimensional points.
 
     Points are rows of a float64 array of shape ``(n, d)``.  Values default
@@ -402,8 +389,7 @@ class MultiDimIndex(abc.ABC):
     name: str = "multi-dim-index"
 
     def __init__(self) -> None:
-        self.stats = IndexStats()
-        self._built = False
+        super().__init__()
         self.dims = 0
 
     @abc.abstractmethod
@@ -530,70 +516,6 @@ class MultiDimIndex(abc.ABC):
         pairs = self.range_query(low, high)
         points = np.array([p for p, _ in pairs], dtype=np.float64).reshape(len(pairs), self.dims)
         return points, as_object_array([v for _, v in pairs])
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def _require_built(self) -> None:
-        if not self._built:
-            raise NotBuiltError(f"{self.name}: call build() before querying")
-
-    # -- built-state export (the shared-state contract) --------------------
-    def export_state(self) -> IndexState:
-        """Snapshot the built index: shareable arrays plus pickled residue.
-
-        Same contract as :meth:`OneDimIndex.export_state`; overriding it
-        requires overriding :meth:`from_state` as well (RPR010).
-        """
-        self._require_built()
-        return export_index_state(self)
-
-    @classmethod
-    def from_state(cls, state: IndexState,
-                   arrays: list[np.ndarray] | None = None) -> "MultiDimIndex":
-        """Rebuild an index from :meth:`export_state` output, no retraining."""
-        instance = index_from_state(state, arrays)
-        if not isinstance(instance, cls):
-            raise StateError(
-                f"state holds a {state.class_path()}, not a {cls.__name__}"
-            )
-        return instance
-
-    # -- on-disk persistence (the artifact store) --------------------------
-    def save(self, path: str | Path) -> Path:
-        """Persist the built index as a verifiable artifact directory.
-
-        Same contract as :meth:`OneDimIndex.save`.
-        """
-        from repro.core.artifact import write_artifact
-
-        return write_artifact(self.export_state(), path)
-
-    @classmethod
-    def load(cls, path: str | Path,
-             mmap_mode: str | None = "r") -> "MultiDimIndex":
-        """Reconstruct an index saved by :meth:`save`, without retraining.
-
-        Same contract as :meth:`OneDimIndex.load`: ``mmap_mode="r"``
-        (default) maps arrays as lazy read-only views, ``None``
-        materializes writable copies; every file is digest-verified
-        before any bytes are mapped or unpickled.
-        """
-        from repro.core.artifact import read_artifact
-
-        return cls.from_state(read_artifact(path, mmap_mode=mmap_mode))
-
-    def _thaw(self, *names: str) -> None:
-        """Copy-on-write the named array attributes before in-place writes.
-
-        Same contract as :meth:`OneDimIndex._thaw`: restored read-only
-        arrays are replaced by private writable copies; writable arrays
-        are left untouched.
-        """
-        for name in names:
-            arr = getattr(self, name, None)
-            if isinstance(arr, np.ndarray) and not arr.flags.writeable:
-                setattr(self, name, arr.copy())
 
     @staticmethod
     def _prepare_points(points: np.ndarray, values: Sequence[object] | None) -> tuple[np.ndarray, list[object]]:

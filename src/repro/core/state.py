@@ -1,4 +1,4 @@
-"""Built-state export / reconstruct: the shared-state contract.
+"""Built-state export / reconstruct and the one block layout that holds it.
 
 A built index is, at heart, a handful of large numeric arrays (sorted
 keys, Morton codes, segment tables, model parameter columns) plus a
@@ -16,12 +16,17 @@ exactly that line:
   placeholder.
 
 :func:`index_from_state` inverts the split: it re-creates the instance
-without calling ``__init__`` (and therefore without retraining), splices
-the arrays back into the restored ``__dict__``, and returns a queryable
-index.  Passing substitute ``arrays`` — for example zero-copy views of a
-``multiprocessing.shared_memory`` buffer — reconstructs the same index
-over memory owned by someone else; that is how the multi-process serving
-backend maps a shard without rebuilding it (see :mod:`repro.serve.shm`).
+without calling ``__init__`` (and therefore without retraining) and
+splices the arrays back into the restored ``__dict__``; :func:`restore`
+does the same through the class's own ``from_state``.
+
+A state travels as **blocks**: the arrays little-endian in C order at
+64-byte-aligned offsets, then the payload, in one flat buffer described
+by a :class:`BlockLayout` that carries one sha256 over all of it.
+:func:`encode_blocks` lays a state out; :func:`decode_blocks` checks a
+buffer's size and digest and only then views its arrays zero-copy.  The
+artifact directory (:mod:`repro.core.artifact`) and the shared-memory
+segment (:mod:`repro.serve.shm`) hold exactly these bytes.
 
 Security note: the payload is a pickle — only reconstruct states
 produced by code you trust.
@@ -29,6 +34,7 @@ produced by code you trust.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import pickle
 from dataclasses import dataclass
@@ -37,12 +43,21 @@ from typing import Any
 import numpy as np
 
 __all__ = [
+    "ALIGN",
+    "BlockLayout",
     "IndexState",
     "StateError",
+    "decode_blocks",
+    "encode_blocks",
     "export_index_state",
     "index_from_state",
     "resolve_index_class",
+    "restore",
+    "verify_blocks",
 ]
+
+#: Array offsets inside a block buffer are multiples of this.
+ALIGN = 64
 
 
 class StateError(RuntimeError):
@@ -85,11 +100,6 @@ class IndexState:
     cls_qualname: str
     arrays: list[np.ndarray]
     payload: bytes
-
-    @property
-    def nbytes(self) -> int:
-        """Total exported size: array bytes plus payload bytes."""
-        return sum(int(a.nbytes) for a in self.arrays) + len(self.payload)
 
     def class_path(self) -> str:
         return f"{self.cls_module}.{self.cls_qualname}"
@@ -190,7 +200,9 @@ def export_index_state(index: object) -> IndexState:
     )
 
 
-def _resolve_class(module: str, qualname: str) -> type:
+def resolve_index_class(state: IndexState) -> type:
+    """The class a state reconstructs into, resolved by import path."""
+    module, qualname = state.cls_module, state.cls_qualname
     try:
         obj: Any = importlib.import_module(module)
     except ImportError as exc:
@@ -207,36 +219,13 @@ def _resolve_class(module: str, qualname: str) -> type:
     return obj
 
 
-def resolve_index_class(state: IndexState) -> type:
-    """The class a state reconstructs into, resolved by import path.
-
-    Reconstruction should normally go through ``cls.from_state`` (which
-    base interfaces provide and some classes override to rebuild linked
-    structures); this resolver is how generic callers find that ``cls``.
-    """
-    return _resolve_class(state.cls_module, state.cls_qualname)
-
-
-def index_from_state(state: IndexState,
-                     arrays: list[np.ndarray] | None = None) -> object:
+def index_from_state(state: IndexState) -> object:
     """Reconstruct an index from an exported state without retraining.
-
-    Args:
-        state: the exported state.
-        arrays: optional substitutes for ``state.arrays`` (must align
-            positionally) — pass shared-memory views here to build a
-            zero-copy read-only view of the original index.
 
     The instance is created with ``cls.__new__`` (``__init__`` is never
     run), so reconstruction costs one unpickle plus attribute splicing.
     """
-    source = state.arrays if arrays is None else arrays
-    if len(source) != len(state.arrays):
-        raise StateError(
-            f"array count mismatch: state exported {len(state.arrays)} "
-            f"arrays, got {len(source)} substitutes"
-        )
-    cls = _resolve_class(state.cls_module, state.cls_qualname)
+    cls = resolve_index_class(state)
     try:
         tree = pickle.loads(state.payload)
     except Exception as exc:
@@ -245,6 +234,109 @@ def index_from_state(state: IndexState,
         raise StateError("state payload did not decode to an attribute dict")
     instance = cls.__new__(cls)
     instance.__dict__.update(
-        {name: _recompose(value, source) for name, value in tree.items()}
+        {name: _recompose(value, state.arrays) for name, value in tree.items()}
     )
     return instance
+
+
+def restore(state: IndexState) -> object:
+    """Rebuild the index a state holds through its class's ``from_state``
+    (so overrides that relink structures run), or generically for a
+    class without one."""
+    from_state = getattr(resolve_index_class(state), "from_state", None)
+    return from_state(state) if callable(from_state) else index_from_state(state)
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Where one exported state sits in a flat buffer, and its digest.
+
+    ``arrays`` holds one ``(dtype, shape, offset)`` per exported array,
+    each little-endian C-order at a multiple of :data:`ALIGN`; the
+    pickled payload follows at ``payload_offset``.  ``sha256`` covers
+    all ``total_bytes`` bytes, the zero padding included.  A manifest
+    stores the layout as its :func:`dataclasses.asdict` form.
+    """
+
+    cls_module: str
+    cls_qualname: str
+    arrays: tuple[tuple[str, tuple[int, ...], int], ...]
+    payload_offset: int
+    payload_nbytes: int
+    sha256: str
+
+    @property
+    def total_bytes(self) -> int:
+        return self.payload_offset + self.payload_nbytes
+
+    @classmethod
+    def from_json(cls, fields: Any) -> "BlockLayout":
+        """Inverse of ``asdict``; a missing or mistyped field raises."""
+        try:
+            return cls(str(fields["cls_module"]), str(fields["cls_qualname"]),
+                       tuple((str(d), tuple(map(int, s)), int(o)) for d, s, o in fields["arrays"]),
+                       int(fields["payload_offset"]), int(fields["payload_nbytes"]),
+                       str(fields["sha256"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StateError(f"truncated or malformed block layout: {exc!r}") from exc
+
+
+def encode_blocks(state: IndexState) -> tuple[BlockLayout, list[memoryview]]:
+    """Lay ``state`` out as blocks: the layout (digest included) and the
+    byte pieces that fill its ``total_bytes`` in order, padding included.
+
+    A piece views a source array (copied only if it is not C-contiguous
+    little-endian) or the payload, so the caller writes the pieces
+    wherever the blocks go without another copy.
+    """
+    pieces: list[memoryview] = []
+    specs = []
+    offset = 0
+    for source in state.arrays:
+        arr = np.ascontiguousarray(source)
+        if arr.dtype.str.startswith(">"):
+            arr = arr.astype(arr.dtype.newbyteorder("<"))
+        pieces.append(memoryview(bytes(-offset % ALIGN)))
+        offset += pieces[-1].nbytes
+        specs.append((arr.dtype.str, tuple(arr.shape), offset))
+        pieces.append(memoryview(arr.reshape(-1).view(np.uint8)))
+        offset += arr.nbytes
+    pieces.append(memoryview(bytes(-offset % ALIGN)))
+    offset += pieces[-1].nbytes
+    pieces.append(memoryview(state.payload))
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    return BlockLayout(state.cls_module, state.cls_qualname, tuple(specs), offset,
+                       len(state.payload), digest.hexdigest()), pieces
+
+
+def verify_blocks(layout: BlockLayout, buf: Any) -> None:
+    """Check that ``buf`` starts with the layout's bytes: size, then one
+    sha256 over a memoryview (never a copy).  Holds no view of ``buf``
+    once it returns or raises, so a failed buffer's owner can close it."""
+    total = layout.total_bytes
+    with memoryview(buf) as whole:
+        size = whole.nbytes
+        if size >= total:
+            with whole[:total] as head:
+                digest = hashlib.sha256(head).hexdigest()
+    if size < total:
+        raise StateError(f"blocks hold {size} bytes, layout says {total} (truncated)")
+    if digest != layout.sha256:
+        raise StateError(f"blocks sha256 mismatch: {digest[:12]}... != "
+                         f"{layout.sha256[:12]}... (corrupt bytes)")
+
+
+def decode_blocks(layout: BlockLayout, buf: Any) -> IndexState:
+    """The state ``buf`` holds: :func:`verify_blocks` first, then array
+    views over ``buf`` (read-only when ``buf`` is) and a copy of the
+    payload.  No byte is interpreted before the digest matches."""
+    verify_blocks(layout, buf)
+    try:
+        arrays = [np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf, offset=offset)
+                  for dtype, shape, offset in layout.arrays]
+    except (TypeError, ValueError) as exc:
+        raise StateError(f"block layout does not fit its buffer: {exc}") from exc
+    payload = bytes(memoryview(buf)[layout.payload_offset:layout.total_bytes])
+    return IndexState(layout.cls_module, layout.cls_qualname, arrays, payload)

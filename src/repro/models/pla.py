@@ -519,11 +519,13 @@ class LearnedColumn:
 
     def predict_batch(self, seg: np.ndarray | int, qs: np.ndarray) -> np.ndarray:
         """:meth:`predict` per row, clamped into the segment (unrounded)."""
-        raw = self.slopes[seg] * (qs - self.keys[seg]) + self.anchors[seg]
         firsts, lasts = self.firsts[seg], self.lasts[seg]
-        finite = np.isfinite(raw)
-        if not finite.all():
-            with np.errstate(invalid="ignore"):  # NaN compares false: it goes last
+        # A flat segment times an infinite query is NaN, and NaN compares
+        # false: it goes to the segment's end.
+        with np.errstate(invalid="ignore"):
+            raw = self.slopes[seg] * (qs - self.keys[seg]) + self.anchors[seg]
+            finite = np.isfinite(raw)
+            if not finite.all():
                 raw = np.where(finite, raw, np.where(raw < 0, firsts, lasts - 1))
         return np.minimum(np.maximum(raw, firsts), lasts - 1)
 

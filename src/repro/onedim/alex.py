@@ -280,10 +280,9 @@ class ALEXIndex(MutableOneDimIndex):
                 leaf.next = leaves[i + 1] if i + 1 < len(leaves) else None
 
     @classmethod
-    def from_state(cls, state: IndexState,
-                   arrays: list[np.ndarray] | None = None) -> "ALEXIndex":
+    def from_state(cls, state: IndexState) -> "ALEXIndex":
         """Relink the leaf chain after the generic restore."""
-        instance = super().from_state(state, arrays)
+        instance = super().from_state(state)
         assert isinstance(instance, ALEXIndex)
         instance._link_leaves()
         return instance

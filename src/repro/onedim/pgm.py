@@ -350,10 +350,9 @@ class DynamicPGMIndex(MutableOneDimIndex):
             self._static = static
 
     @classmethod
-    def from_state(cls, state: IndexState,
-                   arrays: list[np.ndarray] | None = None) -> "DynamicPGMIndex":
+    def from_state(cls, state: IndexState) -> "DynamicPGMIndex":
         """Rebuild the static levels from their exported attribute dicts."""
-        instance = super().from_state(state, arrays)
+        instance = super().from_state(state)
         assert isinstance(instance, DynamicPGMIndex)
         for i, attrs in enumerate(instance._static):
             if attrs is not None:

@@ -221,7 +221,8 @@ class RMIIndex(OneDimIndex):
                            self.num_models - 1).astype(np.int64)
         self.stats.model_predictions += 2 * m
         self.stats.nodes_visited += 2 * m
-        raw = np.rint(self._leaf_slopes[leaf_ids] * qs + self._leaf_intercepts[leaf_ids])
+        with np.errstate(invalid="ignore"):  # a flat leaf times ±inf is NaN: fmin sends it last
+            raw = np.rint(self._leaf_slopes[leaf_ids] * qs + self._leaf_intercepts[leaf_ids])
         predicted = np.fmin(np.maximum(raw, 0), n - 1).astype(np.int64)
         errors = self._leaf_error_arr[leaf_ids]
         lo = np.maximum(predicted - errors, 0)

@@ -275,7 +275,7 @@ class ProcessShardExecutor:
 
         Shards that are still byte-identical to an on-disk artifact
         (restored via ``from_snapshot`` and unwritten since) are packed
-        straight from the artifact files — the parent never re-exports
+        straight from the artifact's blocks file — the parent never re-exports
         state or touches the payload pickle on that path.
         """
         source, state, generation = self.store.snapshot_source(shard)

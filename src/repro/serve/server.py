@@ -186,8 +186,8 @@ class IndexServer:
         """Restore a serving-ready server from :meth:`save_snapshot` output.
 
         Cold start without rebuilding: every shard is reconstructed from
-        its artifact files (read-only memmap views under the default
-        ``mmap_mode="r"``) and **no index ``build()`` runs**.  Restored
+        its artifact (read-only views over the mapped blocks file under
+        the default ``mmap_mode="r"``) and **no index ``build()`` runs**.  Restored
         generation counters resume where the snapshot left them, so
         result-cache keys stay on the same generation sequence across
         the restart.  ``factory`` is only needed if the store will ever

@@ -53,6 +53,7 @@ from repro.core.artifact import (
     ArtifactError,
     environment_snapshot,
     load_index_artifact,
+    read_header,
     write_artifact,
 )
 from repro.core.interfaces import IndexStats, MultiDimIndex, OneDimIndex, point_distances
@@ -821,27 +822,14 @@ class ShardedStore:
                       mmap_mode: str | None = "r") -> "ShardedStore":
         """Restore a store from :meth:`save_snapshot` output, build-free.
 
-        Every shard is reconstructed from its artifact files (read-only
-        memmap views by default — pass ``mmap_mode=None`` for writable
-        eager copies); partition bounds and generation counters resume
+        Every shard is reconstructed from its artifact (read-only views
+        over the mapped blocks file by default — pass ``mmap_mode=None``
+        for a writable private copy); partition bounds and generation counters resume
         exactly where they were saved.  No index ``build()`` runs.
         """
         root = Path(directory)
         meta_path = root / _STORE_META
-        if not meta_path.is_file():
-            raise ArtifactError(f"{root}: no {_STORE_META} (not a store snapshot)")
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise ArtifactError(f"{meta_path}: unreadable metadata: {exc}") from exc
-        if not isinstance(meta, dict) or meta.get("format") != STORE_SNAPSHOT_FORMAT:
-            raise ArtifactError(f"{meta_path}: not a {STORE_SNAPSHOT_FORMAT} file")
-        version = meta.get("format_version")
-        if not isinstance(version, int) or version > STORE_SNAPSHOT_VERSION:
-            raise ArtifactError(
-                f"{meta_path}: snapshot version {version!r} newer than "
-                f"supported {STORE_SNAPSHOT_VERSION}"
-            )
+        meta = read_header(meta_path, STORE_SNAPSHOT_FORMAT, STORE_SNAPSHOT_VERSION)
         num_shards = int(meta["num_shards"])
         if factory is None:
             def factory() -> object:

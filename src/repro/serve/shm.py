@@ -3,19 +3,12 @@
 This module owns the *entire* lifecycle of the serving layer's
 ``multiprocessing.shared_memory`` segments (the RPR010 discipline —
 creating or unlinking a segment anywhere else in ``repro.serve`` is a
-lint error).  A shard's exported :class:`~repro.core.state.IndexState`
-is packed into **one** segment per snapshot:
-
-``[array 0 | pad | array 1 | pad | ... | pickled payload]``
-
-and described by a small typed :class:`ShardManifest` — dtype, shape and
-byte offset per array, payload extent, a sha256 over the packed bytes,
-and the shard's write generation.  The manifest (not the data) travels
-over the worker pipe; :func:`attach_view` maps the segment in the worker
-process, verifies the digest, builds **zero-copy read-only** numpy views
-over the buffer, and reconstructs a queryable index via
-:func:`~repro.core.state.index_from_state` — no retraining, no array
-copies.
+lint error).  A segment holds one shard's state as the very blocks an
+artifact's ``blocks.bin`` holds (:mod:`repro.core.state`); only a small
+:class:`ShardManifest` (segment name, block layout with its sha256,
+generation) crosses the worker pipe, and :func:`attach_view` decodes
+the mapped segment — digest first, then zero-copy read-only views — into
+a queryable index without retraining.
 
 Unlink discipline: the snapshot *owner* (the parent process) unlinks a
 segment only after every worker has acknowledged remapping to its
@@ -26,21 +19,25 @@ unlinks a live segment nor leaks a tracker complaint.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import secrets
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.artifact import read_artifact
-from repro.core.state import IndexState, index_from_state, resolve_index_class
+from repro.core.artifact import ArtifactError, open_blocks
+from repro.core.state import (
+    BlockLayout,
+    IndexState,
+    StateError,
+    decode_blocks,
+    encode_blocks,
+    restore,
+    verify_blocks,
+)
 
 __all__ = [
     "SEGMENT_PREFIX",
-    "ArraySpec",
     "ShardManifest",
     "SnapshotIntegrityError",
     "pack_state",
@@ -54,50 +51,20 @@ __all__ = [
 #: and operators can audit ``/dev/shm`` for leaks unambiguously.
 SEGMENT_PREFIX = "repro_serve_"
 
-#: Array offsets are rounded up to this alignment inside a segment.
-_ALIGN = 64
-
 
 class SnapshotIntegrityError(RuntimeError):
     """A snapshot segment is missing, truncated, or fails its digest."""
 
 
 @dataclass(frozen=True)
-class ArraySpec:
-    """Placement of one exported array inside a snapshot segment."""
-
-    dtype: str
-    shape: tuple[int, ...]
-    offset: int
-
-
-@dataclass(frozen=True)
 class ShardManifest:
-    """Typed description of one packed shard snapshot.
-
-    Everything a worker needs to map the snapshot zero-copy: the segment
-    name, per-array placement, the payload extent, an integrity digest
-    over the packed bytes, and the generation the snapshot was taken at.
-    """
+    """Everything a worker needs to map one packed shard snapshot: the
+    segment name, the block layout (digest included) and the generation
+    the snapshot was taken at."""
 
     shm_name: str
-    total_bytes: int
-    sha256: str
-    cls_module: str
-    cls_qualname: str
-    arrays: tuple[ArraySpec, ...]
-    payload_offset: int
-    payload_nbytes: int
+    layout: BlockLayout
     generation: int
-
-
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _segment_name() -> str:
-    """A collision-free segment name carrying the audit prefix."""
-    return f"{SEGMENT_PREFIX}{os.getpid():x}_{secrets.token_hex(6)}"
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -125,80 +92,69 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original_register
 
 
+def _new_segment(nbytes: int) -> shared_memory.SharedMemory:
+    """A fresh owned segment of ``nbytes`` under a collision-free name
+    carrying the audit prefix."""
+    name = f"{SEGMENT_PREFIX}{os.getpid():x}_{secrets.token_hex(6)}"
+    return shared_memory.SharedMemory(create=True, size=max(nbytes, 1), name=name)
+
+
 def pack_state(state: IndexState, generation: int = 0) -> tuple[ShardManifest, shared_memory.SharedMemory]:
     """Pack an exported index state into one shared-memory segment.
 
     Returns the manifest plus the owning :class:`SharedMemory` handle.
-    The caller owns the segment: it must eventually ``close()`` and
-    ``unlink()`` it (the executor does this on snapshot retirement and
-    on shutdown).
+    The caller owns the segment: it must eventually retire it through
+    :func:`release_segment` (the executor does this on snapshot
+    retirement and on shutdown).
     """
-    arrays = [np.ascontiguousarray(a) for a in state.arrays]
-    specs: list[ArraySpec] = []
-    offset = 0
-    for arr in arrays:
-        offset = _align(offset)
-        specs.append(ArraySpec(dtype=arr.dtype.str, shape=tuple(arr.shape),
-                               offset=offset if arr.nbytes else 0))
-        offset += arr.nbytes
-    payload_offset = _align(offset)
-    total = payload_offset + len(state.payload)
-    shm = shared_memory.SharedMemory(
-        create=True, size=max(total, 1), name=_segment_name()
-    )
+    layout, pieces = encode_blocks(state)
+    shm = _new_segment(layout.total_bytes)
     try:
-        for spec, arr in zip(specs, arrays):
-            if arr.nbytes:
-                dst = np.ndarray(arr.shape, dtype=arr.dtype,
-                                 buffer=shm.buf, offset=spec.offset)
-                dst[...] = arr
-                del dst  # release the buffer export before any close()
-        shm.buf[payload_offset:total] = state.payload
-        digest = hashlib.sha256(bytes(shm.buf[:total])).hexdigest()
-    except Exception:
-        shm.close()
-        shm.unlink()
+        offset = 0
+        for piece in pieces:
+            shm.buf[offset:offset + piece.nbytes] = piece
+            offset += piece.nbytes
+    except BaseException:
+        release_segment(shm)
         raise
-    manifest = ShardManifest(
-        shm_name=shm.name,
-        total_bytes=total,
-        sha256=digest,
-        cls_module=state.cls_module,
-        cls_qualname=state.cls_qualname,
-        arrays=tuple(specs),
-        payload_offset=payload_offset,
-        payload_nbytes=len(state.payload),
-        generation=generation,
-    )
-    return manifest, shm
+    return ShardManifest(shm.name, layout, generation), shm
 
 
 def pack_artifact(directory: str | Path,
                   generation: int = 0) -> tuple[ShardManifest, shared_memory.SharedMemory]:
     """Pack an on-disk artifact directly into a shared-memory segment.
 
-    The cold-start path of the process backend: instead of re-exporting
-    state from a live parent index, the artifact's files are sha256
-    verified against its manifest (digest-before-map, via
-    :func:`repro.core.artifact.read_artifact`) and their bytes copied
-    straight from the read-only file mappings into the segment — the
-    payload pickle is never loaded in the parent, and no index is
-    reconstructed here.  Ownership contract is identical to
-    :func:`pack_state`: the caller must eventually retire the returned
-    segment through :func:`release_segment`.
+    The process backend's cold-start path: the mapped ``blocks.bin`` is
+    sha256-checked once against its manifest (a corrupt artifact raises
+    :class:`~repro.core.artifact.ArtifactError` before any segment
+    exists), then copied in one memcpy under the manifest's digest; no
+    payload is unpickled here.  Ownership is as for :func:`pack_state`.
     """
-    return pack_state(read_artifact(directory, mmap_mode="r"), generation)
+    layout, blocks = open_blocks(directory, mmap_mode="r")
+    with blocks:
+        try:
+            verify_blocks(layout, blocks)
+        except StateError as exc:
+            raise ArtifactError(f"{directory}: {exc}") from exc
+        shm = _new_segment(layout.total_bytes)
+        try:
+            with memoryview(blocks) as source:
+                shm.buf[:layout.total_bytes] = source[:layout.total_bytes]
+        except BaseException:
+            release_segment(shm)
+            raise
+    return ShardManifest(shm.name, layout, generation), shm
 
 
 def attach_view(manifest: ShardManifest) -> tuple[object, shared_memory.SharedMemory]:
     """Map a snapshot segment and reconstruct a read-only index view.
 
-    Verifies the manifest's sha256 over the mapped bytes before trusting
-    any of them, then builds zero-copy non-writeable array views and
-    reconstructs the index without retraining.  Returns ``(view, shm)``;
-    the caller must keep ``shm`` alive as long as the view is queried,
-    and ``close()`` (never ``unlink()`` — workers do not own segments)
-    when done.
+    Decodes the segment with :func:`~repro.core.state.decode_blocks`
+    (sha256 over the mapped bytes before any is trusted), freezes the
+    zero-copy array views and rebuilds the index without retraining.
+    Returns ``(view, shm)``; the caller must keep ``shm`` alive as long
+    as the view is queried, and ``close()`` (never ``unlink()`` —
+    workers do not own segments) when done.
     """
     try:
         shm = _attach_untracked(manifest.shm_name)
@@ -207,42 +163,17 @@ def attach_view(manifest: ShardManifest) -> tuple[object, shared_memory.SharedMe
             f"snapshot segment {manifest.shm_name!r} does not exist "
             "(already unlinked?)"
         ) from None
-    arrays: list[np.ndarray] = []
     try:
-        if shm.size < manifest.total_bytes:
-            raise SnapshotIntegrityError(
-                f"segment {manifest.shm_name!r} holds {shm.size} bytes, "
-                f"manifest says {manifest.total_bytes}"
-            )
-        digest = hashlib.sha256(bytes(shm.buf[:manifest.total_bytes])).hexdigest()
-        if digest != manifest.sha256:
-            raise SnapshotIntegrityError(
-                f"segment {manifest.shm_name!r} sha256 mismatch: "
-                f"{digest[:12]}... != {manifest.sha256[:12]}..."
-            )
-        for spec in manifest.arrays:
-            arr = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
-                             buffer=shm.buf, offset=spec.offset)
+        state = decode_blocks(manifest.layout, shm.buf)
+    except StateError as exc:
+        shm.close()
+        raise SnapshotIntegrityError(f"segment {manifest.shm_name!r}: {exc}") from None
+    try:
+        for arr in state.arrays:
             arr.flags.writeable = False
-            arrays.append(arr)
-        payload = bytes(
-            shm.buf[manifest.payload_offset:
-                    manifest.payload_offset + manifest.payload_nbytes]
-        )
-        state = IndexState(
-            cls_module=manifest.cls_module,
-            cls_qualname=manifest.cls_qualname,
-            arrays=arrays,
-            payload=payload,
-        )
-        # Go through the class's from_state so subclass overrides (e.g.
-        # skip-list chain rebuilding) run; fall back to the generic path
-        # for classes without one.
-        cls = resolve_index_class(state)
-        from_state = getattr(cls, "from_state", None)
-        view = from_state(state) if callable(from_state) else index_from_state(state)
-    except Exception:
-        arrays.clear()  # drop buffer exports so close() cannot raise BufferError
+        view = restore(state)
+    except BaseException:
+        state.arrays.clear()  # drop buffer exports so close() cannot raise BufferError
         shm.close()
         raise
     return view, shm

@@ -256,9 +256,10 @@ class TestRPR010SharedStateDiscipline:
         assert findings_for("RPR010", "serve/rpr010_good.py") == []
 
     def test_segment_checks_scoped_to_serve_paths(self):
-        # The same creation/unlink/mapping code outside serve/ is ignored
-        # (the confinement is a serving-layer contract), but unpaired
-        # export_state/from_state overrides are flagged repo-wide.
+        # The same creation/unlink code outside serve/ is ignored (the
+        # confinement is a serving-layer contract), but a buffer view
+        # without a digest check and unpaired export_state/from_state
+        # overrides are flagged repo-wide.
         import shutil
 
         src = FIXTURES / "serve" / "rpr010_bad.py"
@@ -267,8 +268,10 @@ class TestRPR010SharedStateDiscipline:
         try:
             findings = findings_for("RPR010", "rpr010_outside_scope.py")
             messages = [f.message for f in findings]
-            assert len(findings) == 2
-            assert all("overrides" in m for m in messages)
+            assert len(findings) == 3
+            assert sum("overrides" in m for m in messages) == 2
+            assert any("map_arrays_blindly maps ndarray views" in m for m in messages)
+            assert not any("outside repro.serve.shm" in m for m in messages)
         finally:
             outside.unlink()
 

@@ -1,4 +1,4 @@
-"""Tests for the zero-copy memmap artifact store (repro.core.artifact)."""
+"""Tests for the zero-copy artifact store (repro.core.artifact)."""
 
 import hashlib
 import json
@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from repro.bench.runner import MULTI_DIM_FACTORIES, ONE_DIM_FACTORIES
+from repro.core import state as state_module
 from repro.core.artifact import (
     ARTIFACT_VERSION,
+    BLOCKS_NAME,
     MANIFEST_NAME,
     ArtifactError,
     load_index_artifact,
@@ -21,6 +23,7 @@ from repro.core.artifact import (
     save_index_artifact,
     write_artifact,
 )
+from repro.core.state import ALIGN
 from repro.data import load_1d, load_nd
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -87,27 +90,34 @@ class TestManifest:
         root = save_index_artifact(index, tmp_path / "pgm")
         manifest = json.loads((root / MANIFEST_NAME).read_text())
         assert manifest["format"] == "repro-index-artifact"
-        assert manifest["format_version"] == ARTIFACT_VERSION
-        assert manifest["class"]["qualname"].endswith("PGMIndex")
-        assert manifest["class"]["registry"] == registry_name(
-            f"{manifest['class']['module']}.{manifest['class']['qualname']}"
+        assert manifest["format_version"] == ARTIFACT_VERSION == 2
+        layout = manifest["layout"]
+        assert layout["cls_qualname"].endswith("PGMIndex")
+        assert manifest["registry"] == registry_name(
+            f"{layout['cls_module']}.{layout['cls_qualname']}"
         )
         assert {"python", "numpy", "created_utc", "platform"} <= \
             set(manifest["environment"])
-        for entry in manifest["arrays"]:
-            assert {"file", "dtype", "shape", "order", "nbytes", "sha256"} <= \
-                set(entry)
-            target = root / entry["file"]
-            assert target.stat().st_size == entry["nbytes"]
-            assert hashlib.sha256(target.read_bytes()).hexdigest() == \
-                entry["sha256"]
-        payload = root / manifest["payload"]["file"]
-        assert hashlib.sha256(payload.read_bytes()).hexdigest() == \
-            manifest["payload"]["sha256"]
+        assert sorted(p.name for p in root.iterdir()) == sorted([BLOCKS_NAME, MANIFEST_NAME])
+        blocks = (root / BLOCKS_NAME).read_bytes()
+        assert len(blocks) == manifest["total_bytes"]
+        assert hashlib.sha256(blocks).hexdigest() == layout["sha256"]
+        end = 0
+        for dtype, shape, offset in layout["arrays"]:
+            assert offset % ALIGN == 0 and offset >= end
+            end = offset + np.dtype(dtype).itemsize * int(np.prod(shape))
+        assert layout["payload_offset"] % ALIGN == 0 and layout["payload_offset"] >= end
+        assert layout["payload_offset"] + layout["payload_nbytes"] == manifest["total_bytes"]
 
     def test_registry_name_resolution(self):
         assert registry_name("repro.onedim.rmi.RMIIndex") == "RMI"
         assert registry_name("no.such.module.Nothing") is None
+
+
+def _flip(path: Path, at: int) -> None:
+    blob = bytearray(path.read_bytes())
+    blob[at] ^= 0xFF
+    path.write_bytes(bytes(blob))
 
 
 class TestRejection:
@@ -119,42 +129,39 @@ class TestRejection:
         index = ONE_DIM_FACTORIES["rmi"]().build(keys)
         return save_index_artifact(index, tmp_path / "rmi")
 
-    def test_corrupt_array_file_rejected(self, artifact):
-        manifest = json.loads((artifact / MANIFEST_NAME).read_text())
-        target = artifact / manifest["arrays"][0]["file"]
-        blob = bytearray(target.read_bytes())
-        blob[0] ^= 0xFF
-        target.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactError, match="corrupt file"):
+    def test_corrupt_array_region_rejected(self, artifact):
+        _dtype, _shape, offset = read_manifest(artifact)["layout"]["arrays"][0]
+        _flip(artifact / BLOCKS_NAME, offset)
+        with pytest.raises(ArtifactError, match="corrupt bytes"):
             read_artifact(artifact)
 
-    def test_corrupt_payload_rejected_before_unpickling(self, artifact):
-        target = artifact / "payload.pkl"
-        blob = bytearray(target.read_bytes())
-        blob[-1] ^= 0xFF
-        target.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactError, match="corrupt file"):
-            read_artifact(artifact)
+    def test_corrupt_payload_region_rejected_before_unpickling(self, artifact, monkeypatch):
+        _flip(artifact / BLOCKS_NAME, read_manifest(artifact)["total_bytes"] - 1)
 
-    def test_truncated_array_file_rejected(self, artifact):
-        manifest = json.loads((artifact / MANIFEST_NAME).read_text())
-        target = artifact / manifest["arrays"][0]["file"]
+        def no_unpickle(*args, **kwargs):
+            raise AssertionError("payload unpickled before its digest was checked")
+
+        monkeypatch.setattr(state_module.pickle, "loads", no_unpickle)
+        with pytest.raises(ArtifactError, match="corrupt bytes"):
+            load_index_artifact(artifact)
+
+    def test_truncated_blocks_rejected(self, artifact):
+        target = artifact / BLOCKS_NAME
         target.write_bytes(target.read_bytes()[:-8])
         with pytest.raises(ArtifactError, match="truncated"):
             read_artifact(artifact)
 
-    def test_missing_array_file_rejected(self, artifact):
-        manifest = json.loads((artifact / MANIFEST_NAME).read_text())
-        (artifact / manifest["arrays"][0]["file"]).unlink()
+    def test_missing_blocks_rejected(self, artifact):
+        (artifact / BLOCKS_NAME).unlink()
         with pytest.raises(ArtifactError, match="missing"):
             read_artifact(artifact)
 
     def test_truncated_manifest_rejected(self, artifact):
         manifest = json.loads((artifact / MANIFEST_NAME).read_text())
-        del manifest["payload"]
+        del manifest["layout"]["payload_offset"]
         (artifact / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactError, match="truncated manifest"):
-            read_manifest(artifact)
+        with pytest.raises(ArtifactError, match="truncated or malformed"):
+            read_artifact(artifact)
 
     def test_unparseable_manifest_rejected(self, artifact):
         (artifact / MANIFEST_NAME).write_text("{not json")
@@ -167,6 +174,22 @@ class TestRejection:
         (artifact / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(ArtifactError, match="newer than supported"):
             read_manifest(artifact)
+
+    def test_version_one_directory_rejected(self, tmp_path):
+        # The one-file-per-array layout: arrays/0000.bin plus payload.pkl.
+        root = tmp_path / "v1"
+        (root / "arrays").mkdir(parents=True)
+        (root / "arrays" / "0000.bin").write_bytes(bytes(8))
+        (root / "payload.pkl").write_bytes(b"\x80\x05N.")
+        (root / MANIFEST_NAME).write_text(json.dumps({
+            "format": "repro-index-artifact", "format_version": 1,
+            "class": {"module": "repro.onedim.rmi", "qualname": "RMIIndex"},
+            "arrays": [{"file": "arrays/0000.bin", "dtype": "<f8", "shape": [1],
+                        "order": "C", "nbytes": 8, "sha256": "0" * 64}],
+            "payload": {"file": "payload.pkl", "nbytes": 4, "sha256": "0" * 64},
+        }))
+        with pytest.raises(ArtifactError, match="version 1 is no longer read"):
+            load_index_artifact(root)
 
     def test_wrong_format_discriminator_rejected(self, artifact):
         manifest = json.loads((artifact / MANIFEST_NAME).read_text())
@@ -275,7 +298,7 @@ class TestWriteArtifact:
 
         root = write_artifact(export_index_state(obj), tmp_path / "alias")
         manifest = json.loads((root / MANIFEST_NAME).read_text())
-        assert len(manifest["arrays"]) == 1
+        assert len(manifest["layout"]["arrays"]) == 1
         state = read_artifact(root, mmap_mode=None)
         from repro.core.state import index_from_state
 
@@ -290,7 +313,7 @@ class TestWriteArtifact:
 
         root = write_artifact(export_index_state(obj), tmp_path / "be")
         manifest = json.loads((root / MANIFEST_NAME).read_text())
-        assert manifest["arrays"][0]["dtype"] == "<f8"
+        assert manifest["layout"]["arrays"][0][0] == "<f8"
         state = read_artifact(root, mmap_mode="r")
         np.testing.assert_array_equal(np.asarray(state.arrays[0]),
                                       np.arange(16, dtype="<f8"))

@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.runner import MULTI_DIM_FACTORIES, ONE_DIM_FACTORIES
 from repro.core import NotBuiltError
-from repro.core.state import StateError, index_from_state, resolve_index_class
+from repro.core.state import index_from_state, resolve_index_class
 from repro.data import load_1d, load_nd
 from repro.serve.shm import (
     SEGMENT_PREFIX,
@@ -97,11 +97,6 @@ class TestRoundTripEveryFactory:
         sk = np.sort(keys_1d)
         assert via_cls.lookup(float(sk[7])) == via_helper.lookup(float(sk[7]))
 
-    def test_array_substitution_count_checked(self, keys_1d):
-        state = ONE_DIM_FACTORIES["pgm"]().build(keys_1d).export_state()
-        with pytest.raises(StateError, match="array count mismatch"):
-            index_from_state(state, arrays=state.arrays[:-1])
-
 
 class TestSharedMemoryRoundTrip:
     @pytest.mark.parametrize("name", SHM_HOT_1D)
@@ -155,7 +150,7 @@ class TestSharedMemoryRoundTrip:
         original = ONE_DIM_FACTORIES["pgm"]().build(keys_1d)
         manifest, shm = pack_state(original.export_state())
         try:
-            shm.buf[manifest.total_bytes // 2] ^= 0xFF
+            shm.buf[manifest.layout.total_bytes // 2] ^= 0xFF
             with pytest.raises(SnapshotIntegrityError, match="sha256 mismatch"):
                 attach_view(manifest)
         finally:

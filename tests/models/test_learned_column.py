@@ -11,7 +11,6 @@ non-finite queries included.
 import pickle
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,11 +28,6 @@ wide_keys = st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1,
                      max_size=400).map(lambda xs: np.sort(np.array(xs)))
 sorted_keys = st.one_of(grid_keys, equal_keys, wide_keys)
 
-# A flat segment (slope 0, all-equal keys) predicts 0 * inf = NaN for an
-# infinite query; the column maps that to the segment's end by design.
-flat_times_inf = pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
-
-
 def probes(keys: np.ndarray) -> list[float]:
     """Every key, every midpoint between neighbours, and both far ends."""
     distinct = np.unique(keys)
@@ -45,7 +39,6 @@ def probes(keys: np.ndarray) -> list[float]:
 
 
 class TestLocate:
-    @flat_times_inf
     @settings(max_examples=150, deadline=None)
     @given(keys=sorted_keys, epsilon=epsilons)
     def test_locate_is_searchsorted_left(self, keys, epsilon):
@@ -54,7 +47,6 @@ class TestLocate:
         for q in probes(keys) + [-np.inf, np.inf]:
             assert column.locate(keys, q, stats) == int(np.searchsorted(keys, q, "left")), q
 
-    @flat_times_inf
     @settings(max_examples=150, deadline=None)
     @given(keys=sorted_keys, epsilon=epsilons)
     def test_locate_batch_is_locate_per_row(self, keys, epsilon):

@@ -14,6 +14,9 @@ from repro.data import insert_stream, load_1d, negative_lookups
 ALL = list(ONE_DIM_FACTORIES)
 MUTABLE = list(MUTABLE_ONE_DIM_FACTORIES)
 
+#: Dense head, sparse tail: the column on which flat model pieces meet ±inf.
+FLAT_TAIL_KEYS = np.array([0, 1, 2, 3, 4, 100, 1e3, 1e6, 1e9])
+
 
 @pytest.fixture(params=ALL, ids=ALL)
 def any_factory(request):
@@ -53,13 +56,16 @@ class TestLookupContract:
     def test_infinite_probes_miss(self, any_factory, uniform_keys, probe):
         """``±inf`` and NaN are plain misses, scalar and batch alike: a
         learned model's prediction there must saturate (NaN orders after
-        every key), never reach ``int()`` as an infinity or a NaN."""
-        index = any_factory().build(uniform_keys)
-        assert index.lookup(probe) is None
-        assert index.contains(probe) is False
-        queries = np.array([probe, float(np.sort(uniform_keys)[7])])
-        assert list(index.lookup_batch(queries)) == [index.lookup(q) for q in queries]
-        assert list(index.contains_batch(queries)) == [index.contains(q) for q in queries]
+        every key), never reach ``int()`` as an infinity or a NaN.  The
+        second key set ends in a long sparse tail, so models fit flat
+        pieces whose slope 0 times ``±inf`` is NaN."""
+        for keys in (uniform_keys, FLAT_TAIL_KEYS):
+            index = any_factory().build(keys)
+            assert index.lookup(probe) is None
+            assert index.contains(probe) is False
+            queries = np.array([probe, float(np.sort(keys)[7])])
+            assert list(index.lookup_batch(queries)) == [index.lookup(q) for q in queries]
+            assert list(index.contains_batch(queries)) == [index.contains(q) for q in queries]
 
     def test_custom_values(self, any_factory):
         keys = [5.0, 1.0, 3.0]

@@ -279,3 +279,65 @@ class TestServerSnapshot:
             assert restored.lookup(float(sk[17])) == 17
         finally:
             restored.close()
+
+
+class TestPackArtifact:
+    """A segment packed from an artifact holds the artifact's very bytes."""
+
+    @pytest.fixture()
+    def artifact(self, tmp_path):
+        from repro.core.artifact import save_index_artifact
+
+        index = ZMIndex().build(load_nd("clusters", 700, seed=47))
+        return index, save_index_artifact(index, tmp_path / "zm")
+
+    def test_segment_digest_and_bytes_equal_the_artifact(self, artifact):
+        from repro.core.artifact import BLOCKS_NAME, read_manifest
+        from repro.serve.shm import attach_view, pack_artifact, release_segment
+
+        index, root = artifact
+        manifest, segment = pack_artifact(root, generation=5)
+        try:
+            total = manifest.layout.total_bytes
+            assert manifest.generation == 5
+            assert manifest.layout.sha256 == read_manifest(root)["layout"]["sha256"]
+            assert bytes(segment.buf[:total]) == (root / BLOCKS_NAME).read_bytes()
+            view, attached = attach_view(manifest)
+            pts = load_nd("clusters", 700, seed=47)
+            assert view.point_query_batch(pts).tolist() == index.point_query_batch(pts).tolist()
+            del view
+            attached.close()
+        finally:
+            release_segment(segment)
+
+    def test_pack_state_writes_the_artifact_layout(self, artifact, tmp_path):
+        from repro.core.artifact import BLOCKS_NAME, write_artifact
+        from repro.serve.shm import pack_state, release_segment
+
+        index, _ = artifact
+        state = index.export_state()
+        root = write_artifact(state, tmp_path / "again")
+        manifest, segment = pack_state(state)
+        try:
+            total = manifest.layout.total_bytes
+            assert bytes(segment.buf[:total]) == (root / BLOCKS_NAME).read_bytes()
+            assert manifest.layout.sha256 == \
+                json.loads((root / "manifest.json").read_text())["layout"]["sha256"]
+        finally:
+            release_segment(segment)
+
+    def test_corrupt_artifact_rejected_before_any_segment(self, artifact, monkeypatch):
+        from repro.core.artifact import BLOCKS_NAME
+        from repro.serve import shm
+
+        _, root = artifact
+        blob = bytearray((root / BLOCKS_NAME).read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        (root / BLOCKS_NAME).write_bytes(bytes(blob))
+
+        def no_segment(nbytes):
+            raise AssertionError("a segment was created for a corrupt artifact")
+
+        monkeypatch.setattr(shm, "_new_segment", no_segment)
+        with pytest.raises(ArtifactError, match="corrupt bytes"):
+            shm.pack_artifact(root)
