@@ -103,9 +103,9 @@ def zdecode(code: int, lo, hi, dims: int, bits: int) -> np.ndarray:
 # ``interleave_array`` is the hot path of every projected-space index: it
 # turns an ``(n, d)`` integer coordinate array into n Morton codes with a
 # handful of numpy kernels.  For d = 2 and d = 3 the classic magic-mask
-# bit-spreading sequences run in O(log bits) array ops; other
-# dimensionalities fall back to one masked shift per (bit, dim) pair,
-# still fully vectorised over the n points.
+# bit-spreading sequences run in O(log bits) array ops over all d columns
+# at once; other dimensionalities fall back to one masked shift per
+# (bit, dim) pair, still fully vectorised over the n points.
 
 #: (shift, mask) spreading steps and the input mask, per dimensionality.
 _SPREAD_STEPS = {
@@ -131,13 +131,21 @@ _SPREAD_STEPS = {
     ),
 }
 
+#: Rows spread per pass of :func:`interleave_array`: the ``(rows, d)``
+#: scratch of one pass stays a few hundred KB however large ``n`` is.
+_SPREAD_ROWS = 1 << 13
+
 
 def _spread(x: np.ndarray, dims: int) -> np.ndarray:
-    """Insert ``dims - 1`` zero bits between the bits of each element."""
+    """Insert ``dims - 1`` zero bits between the bits of each element of
+    the uint64 array ``x``, in place; returns ``x``."""
     steps, in_mask = _SPREAD_STEPS[dims]
-    x = x.astype(np.uint64) & in_mask
+    x &= in_mask
+    shifted = np.empty_like(x)
     for shift, mask in steps:
-        x = (x | (x << np.uint64(shift))) & mask
+        np.left_shift(x, np.uint64(shift), out=shifted)
+        x |= shifted
+        x &= mask
     return x
 
 
@@ -156,7 +164,9 @@ def interleave_array(coords: np.ndarray, bits: int) -> np.ndarray:
 
     Requires ``d * bits <= 62`` (codes fit in int64); dimension 0
     occupies the most significant bit of each ``d``-bit group, matching
-    the scalar encoder exactly.
+    the scalar encoder exactly.  For d = 2 and 3 each pass spreads all
+    d columns of :data:`_SPREAD_ROWS` rows together, so a short column
+    costs one pass and a long one never holds an ``(n, d)`` scratch.
     """
     arr = np.asarray(coords, dtype=np.int64)
     n, d = arr.shape
@@ -166,9 +176,15 @@ def interleave_array(coords: np.ndarray, bits: int) -> np.ndarray:
     if d == 1:
         return arr[:, 0].copy()
     if d in (2, 3):
-        codes = np.zeros(n, dtype=np.uint64)
-        for dim in range(d):
-            codes |= _spread(arr[:, dim], d) << np.uint64(d - 1 - dim)
+        codes = np.empty(n, dtype=np.uint64)
+        for start in range(0, n, _SPREAD_ROWS):
+            spread = _spread(arr[start:start + _SPREAD_ROWS].astype(np.uint64), d)
+            block = codes[start:start + _SPREAD_ROWS]
+            np.left_shift(spread[:, 0], np.uint64(d - 1), out=block)
+            for dim in range(1, d):
+                if dim < d - 1:
+                    spread[:, dim] <<= np.uint64(d - 1 - dim)
+                block |= spread[:, dim]
         out = codes.astype(np.int64)
         if _sanitize.enabled():
             _sanitize.check_code_headroom(out, what="interleave_array")

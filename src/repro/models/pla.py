@@ -93,7 +93,8 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
     """Partition sorted ``keys`` into epsilon-bounded linear segments.
 
     Args:
-        keys: sorted 1-d array of keys (duplicates allowed).
+        keys: sorted 1-d array of finite keys (duplicates allowed);
+            a NaN or infinite key raises ``ValueError``.
         epsilon: maximum absolute error of each segment's predictions, in
             positions.  Must be >= 0; ``epsilon = 0`` degenerates to one
             segment per distinct slope change and is permitted.
@@ -125,6 +126,9 @@ def segment_stream(keys: np.ndarray, epsilon: float, positions: np.ndarray | Non
     n = keys.size
     if n == 0:
         return []
+    if not np.isfinite(keys).all():
+        # No line through an infinite key predicts the points beside it.
+        raise ValueError("keys must be finite")
     default_positions = positions is None
     if positions is None:
         positions = np.arange(n, dtype=np.float64)
@@ -178,7 +182,7 @@ def _chain(keys: np.ndarray, positions: np.ndarray, epsilon: float, kernel: _Ker
     (:data:`_TABLE_CELLS`) and the chain of cuts walks through it.
     """
     n = keys.size
-    limit = max(n >> 3, 1)  # block rows: temporaries stay small next to the keys
+    limit = max(n >> 3, _TABLE_CELLS)  # block rows: temporaries stay small next to the keys
     cones: list[tuple[int, int, float, float]] = []
 
     def guess(at: int) -> int:
@@ -567,23 +571,30 @@ def segment_greedy_splits(keys: np.ndarray, segment_size: int) -> list[Segment]:
 def verify_epsilon(keys: np.ndarray, segments: list[Segment], epsilon: float) -> float:
     """Return the max absolute error of ``segments`` over ``keys``.
 
+    A slope-0 segment predicts its anchor position for every key it
+    covers, so its error needs no key offset (which may overflow or be
+    infinite).  A NaN error is not dropped: the result is then NaN, and
+    every ``worst <= bound`` check fails.
+
     Raises:
         AssertionError: if segments do not tile ``[0, n)`` exactly.
     """
     keys = np.asarray(keys, dtype=np.float64)
     n = keys.size
     covered = 0
-    worst = 0.0
     for seg in segments:
         assert seg.first == covered, "segments must tile the array"
         covered = seg.last
-        if seg.last > seg.first:
-            xs = keys[seg.first:seg.last]
-            preds = seg.slope * (xs - seg.key) + seg.anchor_pos
-            errs = np.abs(preds - np.arange(seg.first, seg.last))
-            worst = max(worst, float(errs.max()))
     assert covered == n, "segments must cover all keys"
-    return worst
+    if n == 0:
+        return 0.0
+    lengths = [seg.last - seg.first for seg in segments]
+    preds = np.repeat([seg.anchor_pos for seg in segments], lengths)
+    slopes = np.repeat([seg.slope for seg in segments], lengths)
+    anchors = np.repeat([seg.key for seg in segments], lengths)
+    moving = slopes != 0.0
+    preds[moving] += slopes[moving] * (keys[moving] - anchors[moving])
+    return float(np.abs(preds - np.arange(n)).max())
 
 
 # Imported last: the search helpers live in ``repro.onedim``, whose

@@ -164,6 +164,9 @@ class FITingTreeIndex(MutableOneDimIndex):
     def insert(self, key: float, value: object | None = None) -> None:
         self._require_built()
         key = float(key)
+        if not math.isfinite(key):
+            # As at build: a segment merge could not model the key.
+            raise ValueError("keys must be finite")
         if not self._segments:
             self._segments = [_FSegment(key, 0.0, 0.0, np.array([key]), [value])]
             self._boundaries = [key]

@@ -19,7 +19,10 @@ runs with one stable ``argsort`` and enqueued under one condition take
 per shard; a worker concatenates the columns of consecutive same-op
 runs, makes one kernel call and hands every run its slice of the
 answers in one ``complete_many``.  No per-request object exists between
-``submit_window`` and the kernel.
+``submit_window`` and the kernel.  Each run carries the store's
+``bounds_version`` read before it was routed; the executor routes it
+again only if a rebalance has moved that version since, so a point is
+routed once on the way in and not again at dispatch.
 
 Ordering: each shard queue is strict FIFO, a window's rows keep their
 submission order inside each shard (the ``argsort`` is stable), and
@@ -86,6 +89,13 @@ _FUSABLE = np.array(_IS_READ)
 
 #: The slot column of every single-request run (never written to).
 _SLOT0 = np.zeros(1, dtype=np.intp)
+
+
+def _common_version(runs: Sequence["_Run"]) -> int | None:
+    """The bounds version every run was routed under, or ``None`` when
+    they differ (the executor then re-routes every row)."""
+    version = runs[0].version
+    return version if all(run.version == version for run in runs) else None
 
 
 def _filled(count: int, value: object) -> np.ndarray:
@@ -247,38 +257,41 @@ class _Run:
 
     ``column`` holds the rows' keys (or points) as float64 — what the
     batch kernels consume — and ``slots`` the positions in ``requests``
-    (and in ``sink``) those rows belong to.  A coalescable run of any
-    length can be split and fused with its same-op neighbours; every
-    other op forms a run of length 1 that executes ``requests[slot]``
-    through the scalar store path, as does a coalescable run that ends
-    up alone in its batch.
+    (and in ``sink``) those rows belong to.  ``version`` is the store's
+    bounds version read before the rows were routed (``None`` if not
+    known): the executor re-routes the rows only when it has moved.  A
+    coalescable run of any length can be split and fused with its
+    same-op neighbours; every other op forms a run of length 1 that
+    executes ``requests[slot]`` through the scalar store path, as does
+    a coalescable run that ends up alone in its batch.
     """
 
-    __slots__ = ("op", "column", "slots", "sink", "submitted", "requests")
+    __slots__ = ("op", "column", "slots", "sink", "submitted", "requests", "version")
 
     def __init__(self, op: Op, column: np.ndarray, slots: np.ndarray,
                  sink: "Window | _Tickets", submitted: float,
-                 requests: Sequence[Request]) -> None:
+                 requests: Sequence[Request], version: int | None) -> None:
         self.op = op
         self.column = column
         self.slots = slots
         self.sink = sink
         self.submitted = submitted
         self.requests = requests
+        self.version = version
 
     def split(self, count: int) -> tuple["_Run", "_Run"]:
         """The first ``count`` rows and the rest, as two runs."""
         return (
             _Run(self.op, self.column[:count], self.slots[:count],
-                 self.sink, self.submitted, self.requests),
+                 self.sink, self.submitted, self.requests, self.version),
             _Run(self.op, self.column[count:], self.slots[count:],
-                 self.sink, self.submitted, self.requests),
+                 self.sink, self.submitted, self.requests, self.version),
         )
 
     def select(self, rows: np.ndarray) -> "_Run":
         """The rows picked by ``rows`` (a mask or positions), as a run."""
         return _Run(self.op, self.column[rows], self.slots[rows],
-                    self.sink, self.submitted, self.requests)
+                    self.sink, self.submitted, self.requests, self.version)
 
     def resolve(self, value: object) -> None:
         """Answer every row with the same ``value`` (typed failures)."""
@@ -330,7 +343,7 @@ class Coalescer:
     # -- client side -------------------------------------------------------
     def submit(self, request: Request,
                callback: Callable[[Response], None] | None = None,
-               home: int | None = None) -> Ticket:
+               home: int | None = None, version: int | None = None) -> Ticket:
         """Enqueue ``request`` on its home shard; resolve with a Response.
 
         Returns a :class:`Ticket` that resolves to :class:`Response` (or
@@ -339,16 +352,18 @@ class Coalescer:
         worker thread with the :class:`Response` before the ticket
         resolves; the server uses it to fill the result cache.  ``home``
         is the request's home shard when the caller has already routed
-        it (the server does, to build the cache key).
+        it (the server does, to build the cache key), and ``version``
+        the store's bounds version it read before that routing.
         """
         if home is None:
+            version = self.store.bounds_version
             shards = self.store.route(request)
             home = shards[0] if shards else 0
         ticket = Ticket()
         column = np.array(
             [request.point if self.store.multi_dim else request.key], dtype=np.float64)
         self._admit(home, [_Run(request.op, column, _SLOT0, _Tickets([ticket], callback),
-                                time.perf_counter(), (request,))], 1)
+                                time.perf_counter(), (request,), version)], 1)
         return ticket
 
     def submit_many(self, requests: Sequence[Request]) -> list[Ticket]:
@@ -391,6 +406,7 @@ class Coalescer:
         if count == 0:
             return
         now = time.perf_counter()
+        version = self.store.bounds_version
         codes, homes, column = self.store.route_columns(requests)
         order = np.argsort(homes, kind="stable")
         homes = homes[order]
@@ -404,7 +420,7 @@ class Coalescer:
                 starts, [*starts[1:], count], homes[starts].tolist(), codes[starts].tolist()):
             rows = order[start:stop]
             by_shard.setdefault(shard, []).append(
-                _Run(OPS_BY_CODE[code], column[rows], rows, sink, now, requests))
+                _Run(OPS_BY_CODE[code], column[rows], rows, sink, now, requests, version))
         totals = np.bincount(homes).tolist()
         for shard, runs in by_shard.items():
             self._admit(shard, runs, totals[shard])
@@ -619,7 +635,7 @@ class Coalescer:
         column = (fused[0].column if len(fused) == 1
                   else np.concatenate([run.column for run in fused]))
         try:
-            values = target.execute_columns(shard, op, column)
+            values = target.execute_columns(shard, op, column, _common_version(fused))
         except WorkerDied as exc:
             # The shard's worker process died holding this window; the
             # executor has already restarted it.  Answer every in-flight
@@ -667,7 +683,7 @@ class Coalescer:
         results: list[object]
         try:
             results = self.store.execute_writes(
-                shard, [run.requests[run.slots[0]] for run in runs])
+                shard, [run.requests[run.slots[0]] for run in runs], _common_version(runs))
         except Exception as exc:
             results = [exc] * len(runs)
         now = time.perf_counter()

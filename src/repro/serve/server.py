@@ -231,6 +231,7 @@ class IndexServer:
         cache = self._cache
         if _CACHEABLE[request.op.code] and cache.capacity > 0:
             store = self._store
+            version = store.bounds_version
             shards = store.route(request)
             generations = store.generations
             key = (request.cache_args(), shards, tuple([generations[s] for s in shards]))
@@ -241,7 +242,7 @@ class IndexServer:
             self._stats.record_cache(False)
             return self._coalescer.submit(
                 request, callback=lambda response: cache.put(key, response),
-                home=shards[0] if shards else 0,
+                home=shards[0] if shards else 0, version=version,
             )
         return self._coalescer.submit(request)
 

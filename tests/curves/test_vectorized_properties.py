@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.curves import zorder
 from repro.curves.hilbert import hilbert_encode, hilbert_encode_array
 from repro.curves.zorder import (
     bigmin,
@@ -64,6 +65,22 @@ class TestLatticeRoundtrip:
             scalar_code = interleave(tuple(int(c) for c in coords[i]), bits)
             assert int(codes[i]) == scalar_code
             assert deinterleave(scalar_code, dims, bits) == tuple(int(c) for c in coords[i])
+
+    @pytest.mark.parametrize("dims, bits", [(2, 16), (2, 31), (3, 20)])
+    def test_multi_block_arrays_match_scalar_forms(self, dims, bits):
+        # interleave_array spreads a bounded block of rows per pass; a
+        # column spanning several blocks and a ragged tail must agree
+        # with the scalar encoder row for row, extreme coordinates too.
+        rows = 2 * zorder._SPREAD_ROWS + 37
+        coords = np.random.default_rng(dims).integers(0, 1 << bits, (rows, dims))
+        coords[:2] = [[0] * dims, [(1 << bits) - 1] * dims]
+        codes = interleave_array(coords, bits)
+        assert codes.dtype == np.int64 and codes.shape == (rows,)
+        picks = [0, 1, zorder._SPREAD_ROWS - 1, zorder._SPREAD_ROWS, rows - 1,
+                 *range(5, rows, 997)]
+        assert [int(codes[i]) for i in picks] == [
+            interleave(tuple(int(c) for c in coords[i]), bits) for i in picks]
+        assert np.array_equal(deinterleave_array(codes, dims, bits), coords)
 
     def test_zdecode_array_is_identity_on_cell_centres(self):
         rng = np.random.default_rng(3)

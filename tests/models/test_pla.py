@@ -96,6 +96,37 @@ class TestSegmentStream:
         assert covered == keys.size
 
 
+class TestVerifyEpsilon:
+    """The sanitizer's error check: warning-free, and NaN never passes."""
+
+    def test_slope_zero_segment_predicts_its_anchor(self):
+        keys = np.array([-1.7e308, 0.0, 1.7e308])   # key offsets overflow
+        seg = Segment(key=-1.7e308, slope=0.0, anchor_pos=1.0, first=0, last=3)
+        with np.errstate(all="raise"):
+            assert verify_epsilon(keys, [seg], 1) == 1.0
+
+    def test_slope_zero_segment_at_minus_inf_shows_its_error(self):
+        keys = np.array([-np.inf, 1.0, 2.0, 3.0])
+        seg = Segment(key=-np.inf, slope=0.0, anchor_pos=0.0, first=0, last=4)
+        with np.errstate(all="raise"):
+            assert verify_epsilon(keys, [seg], 1) == 3.0
+
+    def test_nan_error_is_not_dropped(self):
+        keys = np.arange(4.0)
+        segs = [Segment(key=0.0, slope=1.0, anchor_pos=0.0, first=0, last=2),
+                Segment(key=2.0, slope=float("nan"), anchor_pos=2.0, first=2, last=4)]
+        worst = verify_epsilon(keys, segs, 1)
+        assert np.isnan(worst) and not worst <= 1 + 1.0
+
+    def test_matches_a_per_segment_loop(self):
+        rng = np.random.default_rng(3)
+        keys = np.sort(rng.lognormal(0, 2, 3000))
+        segs = segment_stream(keys, 8)
+        loop = max(float(np.abs(s.slope * (keys[s.first:s.last] - s.key) + s.anchor_pos
+                                - np.arange(s.first, s.last)).max()) for s in segs)
+        assert verify_epsilon(keys, segs, 8) == loop
+
+
 class TestGreedySplits:
     def test_fixed_size_partitioning(self):
         keys = np.arange(100, dtype=np.float64)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models import pla
 from repro.models.pla import segment_stream
 from tests.models.pla_reference import reference_segment_stream
 
@@ -100,8 +101,23 @@ class TestAgainstReferenceLoop:
             assert all(np.isfinite(s.slope) for s in segs)
 
     def test_non_finite_keys(self):
+        # The loop's answer here holds a slope-0 segment anchored at -inf
+        # whose error is 5 > epsilon + 1: no segment models such keys.
         keys = np.array([-np.inf, -np.inf, 1.0, 2.0, 3.0, np.inf, np.inf, np.nan, np.nan])
-        assert_same(keys, 2)
+        for bad in (keys, keys[2:7], keys[2:], keys[:5]):
+            with pytest.raises(ValueError, match="finite"):
+                segment_stream(bad, 2)
+
+    @pytest.mark.parametrize("n, calls", [(64, 4), (256, 6)])
+    def test_small_builds_take_few_kernel_calls(self, monkeypatch, n, calls):
+        # A block may hold _TABLE_CELLS rows however short the input, so
+        # a one- or two-segment build is a handful of calls.
+        keys = np.sort(np.random.default_rng(1).lognormal(0.0, 1.0, n))
+        seen = []
+        cones = pla._cones
+        monkeypatch.setattr(pla, "_cones", lambda *args: (seen.append(args[3]), cones(*args))[1])
+        segs = assert_same(keys, 64)
+        assert len(segs) <= 2 and len(seen) == calls
 
     def test_fuzz_shapes(self):
         rng = np.random.default_rng(6)

@@ -276,6 +276,17 @@ class TestFITingTree:
         assert len(index) == 0
         assert index.range_query(-1.0, 2.0) == []
 
+    @pytest.mark.parametrize("key", [np.inf, -np.inf, np.nan])
+    def test_non_finite_insert_is_refused_before_it_lands(self, key):
+        # A buffered infinite key used to break every later merge of its
+        # segment: PLA segments model finite keys only.
+        index = FITingTreeIndex(epsilon=16, buffer_size=4).build(np.arange(100.0))
+        with pytest.raises(ValueError, match="finite"):
+            index.insert(key, "bad")
+        for i in range(40):
+            index.insert(200.0 + i, i)
+        assert len(index) == 140 and index.lookup(239.0) == 39
+
 
 class TestXIndex:
     def test_group_compaction_and_split(self):

@@ -500,7 +500,7 @@ class TestNoFateSharing:
 class _DyingExecutor:
     """A process executor whose shard worker dies holding every window."""
 
-    def execute_columns(self, shard, op, column):
+    def execute_columns(self, shard, op, column, version=None):
         raise WorkerDied(shard, "killed for the test")
 
 
@@ -585,8 +585,8 @@ def _spy_write_stretches(store):
     """Record the number of requests in every ``execute_writes`` call."""
     sizes = []
     execute_writes = store.execute_writes
-    store.execute_writes = lambda shard, requests: (sizes.append(len(requests)),
-                                                    execute_writes(shard, requests))[1]
+    store.execute_writes = lambda shard, requests, version=None: (
+        sizes.append(len(requests)), execute_writes(shard, requests, version))[1]
     return sizes
 
 
