@@ -61,20 +61,29 @@ class MLIndex(MultiDimIndex):
 
     def build(self, points: np.ndarray, values: Sequence[object] | None = None) -> "MLIndex":
         pts, vals = self._prepare_points(points, values)
-        self.dims = int(pts.shape[1]) if pts.size else 0
-        self._built = True
         if pts.shape[0] == 0:
+            self.dims = int(pts.shape[1]) if pts.size else 0
+            self._built = True
             self._points = pts
             return self
+        # The squared distances overflow once coordinates pass ~1e154;
+        # the keys then come out non-finite and the build is refused.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pivots = _kmeans(pts, self.num_pivots)
+            dists = np.linalg.norm(pts[:, None, :] - pivots[None, :, :], axis=2)
+            assign = np.argmin(dists, axis=1)
+            dist_to_pivot = dists[np.arange(pts.shape[0]), assign]
+            # Stripe width: strictly larger than any within-partition distance.
+            stripe = float(dist_to_pivot.max()) * 1.01 + 1e-9
+            keys = assign * stripe + dist_to_pivot
+        if not np.isfinite(keys).all():
+            raise ValueError("ml-index: coordinates too large for iDistance keys "
+                             "(a point-to-pivot distance overflows float64)")
+        self.dims = int(pts.shape[1])
+        self._built = True
         self._extent = float(np.max(pts.max(axis=0) - pts.min(axis=0))) or 1.0
-
-        self._pivots = _kmeans(pts, self.num_pivots)
-        dists = np.linalg.norm(pts[:, None, :] - self._pivots[None, :, :], axis=2)
-        assign = np.argmin(dists, axis=1)
-        dist_to_pivot = dists[np.arange(pts.shape[0]), assign]
-        # Stripe width: strictly larger than any within-partition distance.
-        self._stripe = float(dist_to_pivot.max()) * 1.01 + 1e-9
-        keys = assign * self._stripe + dist_to_pivot
+        self._pivots = pivots
+        self._stripe = stripe
 
         order = np.argsort(keys, kind="mergesort")
         self._keys = keys[order]

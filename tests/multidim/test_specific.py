@@ -99,6 +99,17 @@ class TestMLIndex:
         values = [v for _, v in result]
         assert len(values) == len(set(values)) == clustered_points.shape[0]
 
+    def test_overflowing_distances_are_refused_at_build(self, uniform_points):
+        """Coordinates near 1e200 square past float64's range, so no
+        iDistance key is finite: the build says so and keeps the old one."""
+        index = MLIndex().build(uniform_points)
+        huge = np.random.default_rng(2).uniform(-1.0, 1.0, (200, 2)) * 1e200
+        with pytest.raises(ValueError, match="too large"):
+            index.build(huge)
+        assert index.point_query(uniform_points[5]) == 5
+        with pytest.raises(ValueError, match="too large"):
+            MLIndex().build(huge)
+
     def test_more_pivots_tighter_scans(self):
         pts = load_nd("clusters", 4000, seed=9)
         boxes = range_queries_nd(pts, 10, 0.001, seed=10)
