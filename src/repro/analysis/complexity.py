@@ -291,7 +291,7 @@ def _hashed_attrs(cls: ast.ClassDef) -> set[str]:
 
 #: Hot-path methods whose parameters are single keys/points, not the
 #: dataset — their params must not seed the data-size taint.
-_SCALAR_PARAM_METHODS = {"lookup", "insert", "delete", "point_query",
+_SCALAR_PARAM_METHODS = {"lookup", "insert", "delete", "_insert", "_delete", "point_query",
                          "might_contain", "contains", "range_query",
                          "knn_query", "nearest"}
 
@@ -579,14 +579,21 @@ def _cost_at(cost: Cost, line: int) -> Cost:
     return cost if cost.line else Cost(cost.order, line, cost.reason)
 
 
+#: Hot methods a family implements under a validating base-class entry
+#: point: ``MutableOneDimIndex.insert`` refuses a non-finite key, then
+#: calls the family's ``_insert``, which carries the insert's cost.
+_HOT_IMPLEMENTATIONS = {"insert": "_insert"}
+
+
 def derive_class_costs(cls: ast.ClassDef, family: str) -> dict[str, Cost]:
     """Derived costs of the hot methods ``cls`` itself defines."""
     model = _ClassModel(cls)
-    return {
-        name: model.method_cost(name)
-        for name in _HOT_BY_FAMILY[family]
-        if name in model.methods
-    }
+    costs: dict[str, Cost] = {}
+    for name in _HOT_BY_FAMILY[family]:
+        impl = name if name in model.methods else _HOT_IMPLEMENTATIONS.get(name, name)
+        if impl in model.methods:
+            costs[name] = model.method_cost(impl)
+    return costs
 
 
 def _declared_for(src: SourceFile, cls_name: str) -> dict[str, int] | None:
@@ -657,7 +664,8 @@ def check_complexity_contracts(ctx: AnalysisContext) -> Iterator[Finding]:
 #: Flat-output batch kernels whose overrides must stay vectorized.
 #: ``range_query_batch`` is excluded: its ragged per-box output makes a
 #: per-box assembly loop legitimate.
-_FLAT_BATCH_METHODS = {"lookup_batch", "contains_batch", "point_query_batch"}
+_FLAT_BATCH_METHODS = {"lookup_batch", "contains_batch", "point_query_batch",
+                       "_lookup_batch", "_point_query_batch"}
 
 _ASARRAY_FNS = {"asarray", "ascontiguousarray", "asfarray", "array",
                 "atleast_1d", "atleast_2d"}

@@ -24,8 +24,10 @@ __all__ = ["IndexClassInfo", "RegistryView", "build_registry_view", "BATCH_METHO
 #: keyed to the factory dict the parity tests parametrize over.
 BATCH_METHODS: dict[str, str] = {
     "lookup_batch": "ONE_DIM_FACTORIES",
+    "_lookup_batch": "ONE_DIM_FACTORIES",
     "contains_batch": "ONE_DIM_FACTORIES",
     "point_query_batch": "MULTI_DIM_FACTORIES",
+    "_point_query_batch": "MULTI_DIM_FACTORIES",
     "range_query_batch": "MULTI_DIM_FACTORIES",
 }
 

@@ -46,6 +46,8 @@ _QUERY_METHODS = {
     "contains_batch",
     "point_query_batch",
     "range_query_batch",
+    "_lookup_batch",
+    "_point_query_batch",
 }
 
 #: Function names that perform curve/cell routing: the scope of RPR003.
@@ -202,10 +204,11 @@ def check_contract_surface(ctx: AnalysisContext) -> Iterator[Finding]:
     "RPR002",
     "batch-parity-coverage",
     Severity.ERROR,
-    "Every lookup_batch/point_query_batch/range_query_batch override must be "
-    "reachable from the factory dicts the batch-parity tests parametrize "
-    "over, so a vectorized fast path can never silently diverge from the "
-    "scalar semantics.",
+    "Every batch override — the _lookup_batch/_point_query_batch kernels "
+    "behind the public entry points, and any lookup_batch/point_query_batch/"
+    "range_query_batch override — must be reachable from the factory dicts "
+    "the batch-parity tests parametrize over, so a vectorized fast path can "
+    "never silently diverge from the scalar semantics.",
     ("contract", "batch"),
 )
 def check_batch_parity_coverage(ctx: AnalysisContext) -> Iterator[Finding]:

@@ -201,9 +201,7 @@ class BPlusTreeIndex(MutableOneDimIndex):
         return out
 
     # -- updates ----------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         split = self._insert_into(self._root, key, value)
         if split is not None:
             sep, right = split
@@ -257,10 +255,8 @@ class BPlusTreeIndex(MutableOneDimIndex):
         node.children = node.children[:mid + 1]
         return sep, right
 
-    def delete(self, key: float) -> bool:
+    def _delete(self, key: float) -> bool:
         """Lazy delete: remove from the leaf, tolerate underflow."""
-        self._require_built()
-        key = float(key)
         leaf = self._find_leaf(key)
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:

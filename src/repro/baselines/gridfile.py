@@ -28,6 +28,10 @@ class GridIndex(MutableMultiDimIndex):
     """
 
     name = "grid"
+    #: Rows from which ``point_query_batch`` runs the kernel: the scalar
+    #: query scans its cell in Python, so the kernel wins from one row
+    #: (E18's crossover arm; DESIGN.md "Small batches").
+    batch_crossover = 1
 
     def __init__(self, cells_per_dim: int = 16) -> None:
         super().__init__()
@@ -157,7 +161,7 @@ class GridIndex(MutableMultiDimIndex):
             self._stacked[cid] = cached
         return cached
 
-    def point_query_batch(self, points: np.ndarray) -> np.ndarray:
+    def _point_query_batch(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized batch point queries (element-wise equal to scalar).
 
         Routes all queries to their cells with one clipped-lattice
@@ -166,13 +170,9 @@ class GridIndex(MutableMultiDimIndex):
         the first matching bucket entry wins, exactly like the scalar
         scan order.
         """
-        self._require_built()
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must have shape (m, d)")
         m = pts.shape[0]
         out = np.full(m, None, dtype=object)
-        if m == 0 or not self._cells:
+        if not self._cells:
             return out
         ids = self._clamped_cells((pts - self._lo) / (self._hi - self._lo))
         flat = np.zeros(m, dtype=np.int64)

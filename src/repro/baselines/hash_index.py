@@ -61,17 +61,13 @@ class HashIndex(MutableOneDimIndex):
             self.stats.keys_scanned += 1
         return out
 
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         if key not in self._table:
             self._sorted_dirty = True
         self._table[key] = value
         self.stats.size_bytes = 48 * len(self._table)
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        key = float(key)
+    def _delete(self, key: float) -> bool:
         if key in self._table:
             del self._table[key]
             self._sorted_dirty = True

@@ -49,7 +49,7 @@ class LinearScanIndex(MutableOneDimIndex):
 
     def lookup(self, key: float) -> object | None:
         self._require_built()
-        idx = self._scan(float(key))
+        idx = self._scan(key)
         if idx < 0:
             return None
         return self._values[idx]
@@ -64,9 +64,7 @@ class LinearScanIndex(MutableOneDimIndex):
         order = idx[np.argsort(arr[idx], kind="stable")]
         return [(float(arr[i]), self._values[i]) for i in order]
 
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         idx = self._scan(key)
         if idx >= 0:
             self._thaw("_values")
@@ -76,9 +74,8 @@ class LinearScanIndex(MutableOneDimIndex):
         self._values = np.append(self._values, as_object_array([value]))
         self.stats.size_bytes = 16 * int(self._keys.size)
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        idx = self._scan(float(key))
+    def _delete(self, key: float) -> bool:
+        idx = self._scan(key)
         if idx < 0:
             return False
         self._keys = np.delete(self._keys, idx)

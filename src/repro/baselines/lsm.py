@@ -102,16 +102,14 @@ class LSMTreeIndex(MutableOneDimIndex):
         self.stats.extra["num_runs"] = len(self._runs)
 
     # -- writes ---------------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        self._memtable[float(key)] = value
+    def _insert(self, key: float, value: object | None) -> None:
+        self._memtable[key] = value
         if len(self._memtable) >= self.memtable_limit:
             self._flush_memtable()
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
+    def _delete(self, key: float) -> bool:
         present = self.lookup(key) is not None
-        self._memtable[float(key)] = TOMBSTONE
+        self._memtable[key] = TOMBSTONE
         if len(self._memtable) >= self.memtable_limit:
             self._flush_memtable()
         return present

@@ -56,7 +56,7 @@ class SkipListIndex(MutableOneDimIndex):
         # Insert in sorted order; appending to the tail is cheap because
         # the search path is short for already-largest keys.
         for key, value in zip(arr, vals):
-            self.insert(float(key), value)
+            self._insert(float(key), value)
         self.stats.size_bytes = self._size * 40
         return self
 
@@ -100,11 +100,9 @@ class SkipListIndex(MutableOneDimIndex):
             node = node.forward[0]
         return out
 
-    def insert(self, key: float, value: object | None = None) -> None:
+    def _insert(self, key: float, value: object | None) -> None:
         """Level-bounded splice: expected-O(log n) predecessor search,
         then a tower update of at most ``_MAX_LEVEL`` pointers."""
-        self._require_built()
-        key = float(key)
         update = self._find_predecessors(key)
         node = update[0].forward[0]
         if node is not None and node.key == key:
@@ -120,9 +118,7 @@ class SkipListIndex(MutableOneDimIndex):
         self._size += 1
         self.stats.size_bytes = self._size * 40
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        key = float(key)
+    def _delete(self, key: float) -> bool:
         update = self._find_predecessors(key)
         node = update[0].forward[0]
         if node is None or node.key != key:

@@ -27,6 +27,10 @@ class SortedArrayIndex(MutableOneDimIndex):
     """
 
     name = "sorted-array"
+    #: Rows from which ``lookup_batch`` runs the kernel: at 10⁵ keys one
+    #: ``searchsorted`` call costs ~8 µs and a Python binary search ~3 µs
+    #: a row (E17's crossover arm; DESIGN.md "Small batches").
+    batch_crossover = 4
 
     def __init__(self) -> None:
         super().__init__()
@@ -67,19 +71,15 @@ class SortedArrayIndex(MutableOneDimIndex):
             return self._values[idx]
         return None
 
-    def lookup_batch(self, keys) -> np.ndarray:
+    def _lookup_batch(self, qs: np.ndarray) -> np.ndarray:
         """Vectorized batch lookup: one ``np.searchsorted`` for the batch."""
-        self._require_built()
-        qs = np.asarray(keys, dtype=np.float64)
-        if qs.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
         out = np.full(qs.size, None, dtype=object)
         if self._keys_np is None:
             self._keys_np = np.asarray(self._keys, dtype=np.float64)
             self._values_np = as_object_array(self._values)
         arr = self._keys_np
         n = arr.size
-        if n == 0 or qs.size == 0:
+        if n == 0:
             return out
         pos = np.searchsorted(arr, qs, side="left")
         hit = (pos < n) & (arr[np.minimum(pos, n - 1)] == qs)
@@ -102,9 +102,7 @@ class SortedArrayIndex(MutableOneDimIndex):
             i += 1
         return out
 
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         self._keys_np = self._values_np = None
         idx = bisect.bisect_left(self._keys, key)
         if idx < len(self._keys) and self._keys[idx] == key:
@@ -114,9 +112,7 @@ class SortedArrayIndex(MutableOneDimIndex):
         self._values.insert(idx, value)
         self.stats.size_bytes = 16 * len(self._keys)
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        key = float(key)
+    def _delete(self, key: float) -> bool:
         idx = bisect.bisect_left(self._keys, key)
         if idx < len(self._keys) and self._keys[idx] == key:
             self._keys_np = self._values_np = None

@@ -13,13 +13,21 @@ curves, learned grids, LISA shards) across uniform/clustered/skewed
 spatial data.  Both emit machine-readable artifacts
 (``BENCH_batch.json`` / ``BENCH_batch_md.json``) so later PRs can track
 the performance trajectory.
+
+Each also carries a *crossover arm*: the kernel against the scalar loop
+at 1 to 256 rows per call, the curve each family's ``batch_crossover``
+(the row count from which a batch call takes the kernel) is read off.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -30,10 +38,13 @@ from repro.bench.runner import (
     measure_batch_lookups,
     measure_lookups,
 )
-from repro.core.interfaces import MultiDimIndex
+from repro.core.interfaces import MultiDimIndex, OneDimIndex
 from repro.data import load_1d, load_nd, point_lookups, range_queries_nd
 
-__all__ = ["run_e17", "run_e18", "DEFAULT_E17_INDEXES", "DEFAULT_E18_INDEXES"]
+__all__ = [
+    "run_e17", "run_e18", "measure_crossover", "DEFAULT_E17_INDEXES", "DEFAULT_E18_INDEXES",
+    "DEFAULT_E17_CROSSOVER", "DEFAULT_E18_CROSSOVER", "CROSSOVER_ROWS",
+]
 
 #: Contenders with vectorized fast paths plus the loop-fallback B+-tree
 #: as a control showing the fallback neither breaks nor regresses.
@@ -57,6 +68,22 @@ DEFAULT_E18_INDEXES = ("zm-index", "flood", "grid", "lisa", "kd-tree")
 #: Spatial distributions driving the multi-d batch measurement.
 DEFAULT_E18_DATASETS = ("uniform", "clusters", "skew")
 
+#: Rows per call the crossover arms time.  An arm stops early once the
+#: kernel has run at least twice as fast as the scalar loop at two row
+#: counts in a row: its fixed cost is then paid off for good.
+CROSSOVER_ROWS = (1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
+
+#: The 1-d families with a ``_lookup_batch`` kernel: E17's crossover arm.
+DEFAULT_E17_CROSSOVER = ("binary-search", "rmi", "pgm", "radix-spline", "dynamic-pgm")
+
+#: The multi-d families with a ``_point_query_batch`` kernel: E18's
+#: crossover arm (on the run's first dataset).
+DEFAULT_E18_CROSSOVER = ("zm-index", "flood", "grid", "lisa")
+
+#: Queries drawn for a crossover arm; calls read consecutive slices of
+#: the pool, so each call sees fresh queries until it wraps.
+_CROSSOVER_POOL = 20000
+
 
 def _environment_metadata() -> dict:
     """Interpreter/library versions recorded in the bench artifacts."""
@@ -66,9 +93,101 @@ def _environment_metadata() -> dict:
     }
 
 
+def _names(value) -> list[str]:
+    """An index-name list from a sequence or a comma-separated string."""
+    if isinstance(value, str):  # e.g. --param indexes=rmi,pgm
+        return [name for name in value.split(",") if name]
+    return list(value or ())
+
+
+def _check_known(names: list[str], factories: dict, what: str) -> None:
+    unknown = [name for name in names if name not in factories]
+    if unknown:
+        raise KeyError(f"unknown {what} indexes {unknown!r}; have {sorted(factories)}")
+
+
+@contextmanager
+def _every_batch_takes(crossover: int) -> Iterator[None]:
+    """Set ``batch_crossover`` to ``crossover`` on every index class for
+    the block: 1 sends each batch (and a dynamic PGM's per-level probe)
+    to the kernels, ``sys.maxsize`` sends each to the scalar loop."""
+    classes: list[tuple[type, int | None]] = []
+    stack: list[type] = [OneDimIndex, MultiDimIndex]
+    while stack:
+        cls = stack.pop()
+        classes.append((cls, vars(cls).get("batch_crossover")))
+        stack.extend(cls.__subclasses__())
+    try:
+        for cls, _ in classes:
+            setattr(cls, "batch_crossover", crossover)
+        yield
+    finally:
+        for cls, own in classes:
+            if own is None:
+                delattr(cls, "batch_crossover")
+            else:
+                setattr(cls, "batch_crossover", own)
+
+
+def measure_crossover(index, pool: np.ndarray, rows=CROSSOVER_ROWS,
+                      calls: int = 40, rounds: int = 5) -> dict:
+    """Kernel against scalar loop, µs per batch call, at each row count.
+
+    Both sides go through the public batch entry point, so both pay its
+    one validation; :func:`_every_batch_takes` picks the side.  Each call
+    reads fresh queries from ``pool``, the sides alternate round by
+    round, and each keeps its fastest round's mean.  ``measured`` is the
+    smallest row count from which the kernel is never slower (``None``
+    when it loses at the last count measured); ``batch_crossover`` is
+    the family's committed value.  The curve stops early once the kernel
+    is twice as fast at two row counts in a row (:data:`CROSSOVER_ROWS`).
+    """
+    call = index.point_query_batch if pool.ndim == 2 else index.lookup_batch
+    offset = 0
+    curve: dict[str, list[float]] = {"kernel_us": [], "scalar_us": []}
+    timed: list[int] = []
+    for r in rows:
+        if len(timed) >= 2 and all(2 * curve["kernel_us"][i] <= curve["scalar_us"][i]
+                                   for i in (-1, -2)):
+            break
+        timed.append(r)
+        best = {"kernel_us": float("inf"), "scalar_us": float("inf")}
+        for _ in range(rounds):
+            for side, crossover in (("kernel_us", 1), ("scalar_us", sys.maxsize)):
+                picks = np.arange(offset, offset + calls * r) % pool.shape[0]
+                offset += calls * r
+                batches = [pool[picks[i * r:(i + 1) * r]] for i in range(calls)]
+                with _every_batch_takes(crossover):
+                    t0 = time.perf_counter()
+                    for qs in batches:
+                        call(qs)
+                    elapsed = time.perf_counter() - t0
+                best[side] = min(best[side], elapsed / calls * 1e6)
+        for side, us in best.items():
+            curve[side].append(us)
+    measured: int | None = None
+    for i in range(len(timed) - 1, -1, -1):
+        if curve["kernel_us"][i] > curve["scalar_us"][i]:
+            break
+        measured = timed[i]
+    return {
+        "batch_crossover": type(index).batch_crossover,
+        "measured": measured,
+        "rows": timed,
+        **curve,
+    }
+
+
+def _crossover_arm(built: dict, pool: np.ndarray, smoke: bool) -> dict[str, dict]:
+    """:func:`measure_crossover` per built index, sized for ``smoke``."""
+    calls, rounds = (8, 2) if smoke else (40, 5)
+    return {name: measure_crossover(index, pool, calls=calls, rounds=rounds)
+            for name, index in built.items()}
+
+
 def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
             indexes=None, seed: int = 1, out: str | None = "BENCH_batch.json",
-            smoke: bool = False) -> list[dict]:
+            smoke: bool = False, crossover=DEFAULT_E17_CROSSOVER) -> list[dict]:
     """E17: batched vs. per-key lookup throughput per index.
 
     Args:
@@ -81,6 +200,9 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
         seed: RNG seed for data and queries.
         out: path of the JSON artifact, or ``None``/"" to skip writing.
         smoke: shrink to a seconds-scale CI configuration.
+        crossover: the crossover arm's indexes (sequence or
+            comma-separated string; ``""`` skips the arm).  Its curves go
+            to the artifact's ``crossover`` section, not to the rows.
 
     Returns:
         One row per index with scalar/batch ops/sec, the batch-vs-scalar
@@ -92,12 +214,9 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
     if smoke:
         n = min(n, 5000)
         batch = min(batch, 1000)
-    if isinstance(indexes, str):  # e.g. --param indexes=rmi,pgm
-        indexes = [name for name in indexes.split(",") if name]
-    names = list(indexes) if indexes else list(DEFAULT_E17_INDEXES)
-    unknown = [name for name in names if name not in ONE_DIM_FACTORIES]
-    if unknown:
-        raise KeyError(f"unknown 1-d indexes {unknown!r}; have {sorted(ONE_DIM_FACTORIES)}")
+    names = _names(indexes) or list(DEFAULT_E17_INDEXES)
+    arm = _names(crossover)
+    _check_known(names + arm, ONE_DIM_FACTORIES, "1-d")
 
     keys = load_1d(dataset, n, seed=seed)
     queries = point_lookups(keys, batch, seed=seed + 1)
@@ -138,6 +257,11 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
             "vs_binary_batch": batch_ops / reference if reference else 0.0,
         })
 
+    curves = _crossover_arm(
+        {name: timed[name] if name in timed else
+         build_index(ONE_DIM_FACTORIES[name], keys)[0] for name in arm},
+        point_lookups(keys, _CROSSOVER_POOL, seed=seed + 2), smoke)
+
     if out:
         payload = {
             "experiment": "E17",
@@ -156,6 +280,7 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
                 }
                 for row in rows
             },
+            "crossover": curves,
         }
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     return rows
@@ -165,7 +290,7 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
             datasets=None, indexes=None, seed: int = 1,
             range_batch: int = 200, scalar_sample: int = 2000,
             out: str | None = "BENCH_batch_md.json",
-            smoke: bool = False) -> list[dict]:
+            smoke: bool = False, crossover=DEFAULT_E18_CROSSOVER) -> list[dict]:
     """E18: batched vs. per-point query throughput for multi-d indexes.
 
     Mirrors E17 in the multi-dimensional space: for each (dataset, index)
@@ -191,6 +316,9 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
             throughput extrapolates, parity is covered by the test suite.
         out: path of the JSON artifact, or ``None``/"" to skip writing.
         smoke: shrink to a seconds-scale CI configuration.
+        crossover: the crossover arm's indexes, timed on the first
+            dataset (sequence or comma-separated string; ``""`` skips
+            it).  Its curves go to the artifact's ``crossover`` section.
 
     Returns:
         One row per (dataset, index) with scalar/batch ops/sec and speedups.
@@ -202,25 +330,23 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
         scalar_sample = min(scalar_sample, 400)
         if datasets is None:
             datasets = ("uniform",)
-    if isinstance(datasets, str):
-        datasets = [name for name in datasets.split(",") if name]
-    if isinstance(indexes, str):
-        indexes = [name for name in indexes.split(",") if name]
-    dataset_names = list(datasets) if datasets else list(DEFAULT_E18_DATASETS)
-    names = list(indexes) if indexes else list(DEFAULT_E18_INDEXES)
-    unknown = [name for name in names if name not in MULTI_DIM_FACTORIES]
-    if unknown:
-        raise KeyError(f"unknown multi-d indexes {unknown!r}; have {sorted(MULTI_DIM_FACTORIES)}")
+    dataset_names = _names(datasets) or list(DEFAULT_E18_DATASETS)
+    names = _names(indexes) or list(DEFAULT_E18_INDEXES)
+    arm = _names(crossover)
+    _check_known(names + arm, MULTI_DIM_FACTORIES, "multi-d")
 
     rows = []
+    curves: dict[str, dict] = {}
     for dataset in dataset_names:
         points = load_nd(dataset, n, dims=dims, seed=seed)
         queries = point_lookups(points, batch, seed=seed + 1)
         boxes = range_queries_nd(points, range_batch, selectivity=0.0005, seed=seed + 2)
         box_lows = np.vstack([lo for lo, _ in boxes]) if boxes else np.empty((0, dims))
         box_highs = np.vstack([hi for _, hi in boxes]) if boxes else np.empty((0, dims))
+        built: dict[str, MultiDimIndex] = {}
         for name in names:
             index, build_s = build_index(MULTI_DIM_FACTORIES[name], points)
+            built[name] = index
             sample = queries[: min(scalar_sample, len(queries))]
             scalar = measure_lookups(index, sample, is_multi_dim=True)
             batched = measure_batch_lookups(index, queries, is_multi_dim=True)
@@ -244,6 +370,11 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
             if type(index).range_query_batch is not MultiDimIndex.range_query_batch:
                 row.update(_measure_range_batch(index, box_lows, box_highs))
             rows.append(row)
+        if dataset == dataset_names[0] and arm:
+            curves = _crossover_arm(
+                {name: built[name] if name in built else
+                 build_index(MULTI_DIM_FACTORIES[name], points)[0] for name in arm},
+                point_lookups(points, _CROSSOVER_POOL, seed=seed + 3), smoke)
 
     if out:
         payload = {
@@ -265,6 +396,7 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
                 }
                 for row in rows
             },
+            "crossover": curves,
         }
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     return rows
@@ -272,8 +404,6 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
 
 def _measure_range_batch(index, lows: np.ndarray, highs: np.ndarray) -> dict:
     """Looped vs. batched range-query throughput for one built index."""
-    import time
-
     m = lows.shape[0]
     if m == 0:
         return {}

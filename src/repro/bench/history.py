@@ -55,8 +55,9 @@ HEADLINE_KEYS = {
 }
 
 #: Top-level artifact fields that describe the machine or the output,
-#: not the experiment configuration.
-_NON_CONFIG_FIELDS = frozenset({"environment", "results", "cpu_count"})
+#: not the experiment configuration (``crossover``: E17/E18's measured
+#: crossover curves).
+_NON_CONFIG_FIELDS = frozenset({"environment", "results", "cpu_count", "crossover"})
 
 
 def extract_headlines(payload: dict) -> dict[str, float]:

@@ -22,6 +22,7 @@ models visited) and a size estimate in bytes.  Counters make benchmark
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
@@ -48,6 +49,29 @@ __all__ = [
 
 class NotBuiltError(RuntimeError):
     """Raised when querying an index that has not been built yet."""
+
+
+def _finite_key(key: float) -> float:
+    """``key`` as a float, refused with build's ``ValueError`` when NaN
+    or infinite."""
+    key = float(key)
+    if not math.isfinite(key):
+        raise ValueError("keys must be finite")
+    return key
+
+
+def _check_span(low: float, high: float, what: str) -> None:
+    """Refuse finite build values whose span ``high - low`` overflows.
+
+    Families that scale by the span (histogram bins, interpolation,
+    SPRIG's grid) turn an infinite span into NaN positions and miss
+    every key, so the build refuses it rather than index wrongly.
+    """
+    if not math.isfinite(high - low):
+        raise ValueError(
+            f"{what} span {low!r}..{high!r} overflows float64 "
+            f"(max - min is not finite)"
+        )
 
 
 def as_object_array(values: Sequence[object]) -> np.ndarray:
@@ -208,9 +232,21 @@ class _BuiltState:
 
     name: str
 
+    #: Rows from which a batch call runs the family's vectorized kernel;
+    #: a smaller batch runs the scalar loop, whose few calls cost less
+    #: than the kernel's fixed numpy overhead.  Read off the E17/E18
+    #: crossover arms (DESIGN.md, "Small batches"); the base value sends
+    #: every non-empty batch to ``_lookup_batch``/``_point_query_batch``,
+    #: which is itself the scalar loop unless a family overrides it.
+    batch_crossover: int = 1
+
     def __init__(self) -> None:
         self.stats = IndexStats()
         self._built = False
+
+    def _use_kernel(self, rows: int) -> bool:
+        """Whether a batch of ``rows`` rows takes the vectorized kernel."""
+        return rows >= self.batch_crossover
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -316,20 +352,37 @@ class OneDimIndex(_BuiltState, abc.ABC):
 
         Returns an object ndarray aligned with ``keys``: the stored value
         for each hit, ``None`` for each miss — exactly what a loop of
-        scalar :meth:`lookup` calls would produce.  The base
-        implementation *is* that loop; hot indexes override it with
-        numpy-vectorized paths that amortize Python interpreter overhead
-        across the whole batch (their :class:`IndexStats` counters are
-        then aggregated per batch rather than per comparison).
+        scalar :meth:`lookup` calls would produce.  This is the one
+        public batch entry point: it validates the batch once, then runs
+        the scalar loop below the family's :attr:`batch_crossover` and
+        the family kernel :meth:`_lookup_batch` from it on (the kernel's
+        :class:`IndexStats` counters are aggregated per batch rather
+        than per comparison).
         """
         self._require_built()
-        arr = np.asarray(keys, dtype=np.float64)
-        if arr.ndim != 1:
+        qs = np.asarray(keys, dtype=np.float64)
+        if qs.ndim != 1:
             raise ValueError("keys must be one-dimensional")
-        out = np.empty(arr.size, dtype=object)
-        for i in range(arr.size):
-            out[i] = self.lookup(float(arr[i]))
+        if not qs.size:
+            return np.empty(0, dtype=object)
+        if self._use_kernel(qs.size):
+            return self._lookup_batch(qs)
+        return self._lookup_loop(qs)
+
+    def _lookup_loop(self, qs: np.ndarray) -> np.ndarray:
+        """The scalar loop over a validated float64 batch."""
+        out = np.empty(qs.size, dtype=object)
+        lookup = self.lookup
+        for i, key in enumerate(qs.tolist()):
+            out[i] = lookup(key)
         return out
+
+    def _lookup_batch(self, qs: np.ndarray) -> np.ndarray:
+        """The family's batch kernel over a validated, non-empty float64
+        batch of at least :attr:`batch_crossover` rows.  The base is the
+        scalar loop; hot indexes override it with numpy-vectorized paths
+        that amortize interpreter overhead across the batch."""
+        return self._lookup_loop(qs)
 
     def contains_batch(self, keys: Sequence[float]) -> np.ndarray:
         """Boolean ndarray: presence of each key (batched :meth:`contains`)."""
@@ -358,6 +411,8 @@ class OneDimIndex(_BuiltState, abc.ABC):
             raise ValueError("keys must be finite")
         order = np.argsort(arr, kind="mergesort")
         arr = arr[order]
+        if arr.size:
+            _check_span(float(arr[0]), float(arr[-1]), "key")
         if values is None:
             vals: list[object] = list(range(arr.size))
         else:
@@ -368,15 +423,31 @@ class OneDimIndex(_BuiltState, abc.ABC):
 
 
 class MutableOneDimIndex(OneDimIndex):
-    """A one-dimensional index supporting dynamic inserts and deletes."""
+    """A one-dimensional index supporting dynamic inserts and deletes.
 
-    @abc.abstractmethod
+    :meth:`insert` and :meth:`delete` are the one write entry point:
+    they refuse a NaN or infinite key with build's ``ValueError`` before
+    the family's :meth:`_insert`/:meth:`_delete` sees it, since no
+    family's model, merge or node split can place such a key.
+    """
+
     def insert(self, key: float, value: object | None = None) -> None:
         """Insert ``key`` with ``value`` (replacing any existing entry)."""
+        self._require_built()
+        self._insert(_finite_key(key), value)
 
-    @abc.abstractmethod
     def delete(self, key: float) -> bool:
         """Remove ``key``; return ``True`` if it was present."""
+        self._require_built()
+        return self._delete(_finite_key(key))
+
+    @abc.abstractmethod
+    def _insert(self, key: float, value: object | None) -> None:
+        """The family's insert of a finite float ``key`` into a built index."""
+
+    @abc.abstractmethod
+    def _delete(self, key: float) -> bool:
+        """The family's delete of a finite float ``key`` from a built index."""
 
 
 class MultiDimIndex(_BuiltState, abc.ABC):
@@ -413,17 +484,35 @@ class MultiDimIndex(_BuiltState, abc.ABC):
 
         Returns an object ndarray aligned with the rows of ``points``
         (shape ``(m, d)``): the stored value per hit, ``None`` per miss —
-        identical to looping scalar :meth:`point_query`.  Indexes with a
-        vectorizable layout override this loop fallback.
+        identical to looping scalar :meth:`point_query`.  The one public
+        batch entry point: it validates once, then runs the scalar loop
+        below :attr:`batch_crossover` rows and the family kernel
+        :meth:`_point_query_batch` from it on.
         """
         self._require_built()
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("points must have shape (m, d)")
+        if not pts.shape[0]:
+            return np.empty(0, dtype=object)
+        if self._use_kernel(pts.shape[0]):
+            return self._point_query_batch(pts)
+        return self._point_query_loop(pts)
+
+    def _point_query_loop(self, pts: np.ndarray) -> np.ndarray:
+        """The scalar loop over a validated ``(m, d)`` float64 batch."""
         out = np.empty(pts.shape[0], dtype=object)
+        point_query = self.point_query
         for i in range(pts.shape[0]):
-            out[i] = self.point_query(pts[i])
+            out[i] = point_query(pts[i])
         return out
+
+    def _point_query_batch(self, pts: np.ndarray) -> np.ndarray:
+        """The family's batch kernel over a validated ``(m, d)`` float64
+        batch of at least :attr:`batch_crossover` rows (``m >= 1``).  The
+        base is the scalar loop; indexes with a vectorizable layout
+        override it."""
+        return self._point_query_loop(pts)
 
     def range_query_batch(self, lows: np.ndarray, highs: np.ndarray) -> list[list[tuple[tuple[float, ...], object]]]:
         """Answer many axis-aligned range queries at once.
@@ -524,6 +613,9 @@ class MultiDimIndex(_BuiltState, abc.ABC):
             raise ValueError("points must have shape (n, d)")
         if pts.size and not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
+        if pts.size:
+            for j, (low, high) in enumerate(zip(pts.min(axis=0).tolist(), pts.max(axis=0).tolist())):
+                _check_span(low, high, f"dimension-{j} coordinate")
         if values is None:
             vals: list[object] = list(range(pts.shape[0]))
         else:

@@ -40,6 +40,11 @@ class FloodIndex(MultiDimIndex):
     """
 
     name = "flood"
+    #: Rows from which ``point_query_batch`` runs the kernel: its per-cell
+    #: group loop costs about what a scalar query does until cells repeat
+    #: within a batch (E18's crossover arm at 10⁵ 2-d points; DESIGN.md
+    #: "Small batches").
+    batch_crossover = 48
 
     def __init__(self, columns_per_dim: int = 16, sort_dim: int | None = None) -> None:
         super().__init__()
@@ -190,7 +195,7 @@ class FloodIndex(MultiDimIndex):
             i += 1
         return None
 
-    def point_query_batch(self, points: np.ndarray) -> np.ndarray:
+    def _point_query_batch(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized batch point queries (element-wise equal to scalar).
 
         Routes the whole batch through the (already vectorized)
@@ -199,13 +204,9 @@ class FloodIndex(MultiDimIndex):
         vectorized row comparison; only sort-key ties longer than one
         entry fall back to the scalar run scan.
         """
-        self._require_built()
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must have shape (m, d)")
         m = pts.shape[0]
         out = np.full(m, None, dtype=object)
-        if m == 0 or not self._cells:
+        if not self._cells:
             return out
         ids = self._cell_ids(pts)
         flat = np.zeros(m, dtype=np.int64)

@@ -70,6 +70,10 @@ class LISAIndex(MutableMultiDimIndex):
     """
 
     name = "lisa"
+    #: Rows from which ``point_query_batch`` runs the kernel: its per-shard
+    #: group loop costs ~13 µs a row against ~14 µs for a scalar query
+    #: (E18's crossover arm at 10⁵ 2-d points; DESIGN.md "Small batches").
+    batch_crossover = 192
 
     def __init__(self, cells_per_dim: int = 16, shard_size: int = 256) -> None:
         super().__init__()
@@ -222,7 +226,7 @@ class LISAIndex(MutableMultiDimIndex):
         found = self._find(q, m, self._shard_for(m - 1e-9))
         return None if found is None else self._shards[found[0]].values[found[1]]
 
-    def point_query_batch(self, points: np.ndarray) -> np.ndarray:
+    def _point_query_batch(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized batch point queries (element-wise equal to scalar).
 
         Maps the whole batch with :meth:`_mapped_batch`, routes every
@@ -232,13 +236,9 @@ class LISAIndex(MutableMultiDimIndex):
         equality kernel over the shard's stacked arrays; ties and windows
         that run past their shard's end take the scalar :meth:`_find`.
         """
-        self._require_built()
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must have shape (m, d)")
         m = pts.shape[0]
         out = np.full(m, None, dtype=object)
-        if m == 0 or not self._shards:
+        if not self._shards:
             return out
         mapped = self._mapped_batch(pts)
         starts = np.asarray(self._shard_starts)

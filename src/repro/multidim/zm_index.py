@@ -57,6 +57,10 @@ class ZMIndex(MultiDimIndex):
     """
 
     name = "zm-index"
+    #: Rows from which ``point_query_batch`` runs the kernel: at 10⁵ 2-d
+    #: points a kernel call costs ~80 µs and a scalar query ~31 µs (E18's
+    #: crossover arm; DESIGN.md "Small batches").
+    batch_crossover = 4
 
     def __init__(self, bits: int = 16, epsilon: int = 32) -> None:
         super().__init__()
@@ -142,7 +146,7 @@ class ZMIndex(MultiDimIndex):
             pos += 1
         return None
 
-    def point_query_batch(self, points: np.ndarray) -> np.ndarray:
+    def _point_query_batch(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized batch point queries (element-wise equal to scalar).
 
         One ``zencode_array`` call projects the whole batch onto the
@@ -151,14 +155,10 @@ class ZMIndex(MultiDimIndex):
         single point per cell; only queries landing in a multi-point cell
         fall back to the scalar run scan.
         """
-        self._require_built()
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must have shape (m, d)")
         m = pts.shape[0]
         out = np.full(m, None, dtype=object)
         n = self._codes.size
-        if m == 0 or n == 0:
+        if n == 0:
             return out
         in_dom = np.all(pts >= self._lo, axis=1) & np.all(pts <= self._hi, axis=1)
         codes = zencode_array(pts, self._lo, self._hi, self.bits).astype(np.int64)

@@ -368,9 +368,7 @@ class ALEXIndex(MutableOneDimIndex):
         return out
 
     # -- writes ---------------------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         if self._root is None:
             self._root = self._build_data_node(np.array([key]), [value])
             self._head = self._root
@@ -519,11 +517,9 @@ class ALEXIndex(MutableOneDimIndex):
             leaf.next = leaves[i + 1] if i + 1 < len(leaves) else None
         return leaves[0], leaves[-1]
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
+    def _delete(self, key: float) -> bool:
         if self._root is None:
             return False
-        key = float(key)
         node = self._find_leaf(key)
         slot = self._slot_of(node, key)
         if slot >= node.capacity or node.keys[slot] != key or not node.occupied[slot]:

@@ -161,12 +161,7 @@ class FITingTreeIndex(MutableOneDimIndex):
         return out
 
     # -- writes -------------------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
-        if not math.isfinite(key):
-            # As at build: a segment merge could not model the key.
-            raise ValueError("keys must be finite")
+    def _insert(self, key: float, value: object | None) -> None:
         if not self._segments:
             self._segments = [_FSegment(key, 0.0, 0.0, np.array([key]), [value])]
             self._boundaries = [key]
@@ -204,11 +199,9 @@ class FITingTreeIndex(MutableOneDimIndex):
         self._boundaries = [s.first_key for s in self._segments]
         self.stats.extra["merges"] = self.stats.extra.get("merges", 0) + 1
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
+    def _delete(self, key: float) -> bool:
         if not self._segments:
             return False
-        key = float(key)
         si = self._segment_for(key)
         seg = self._segments[si]
         bpos = bisect.bisect_left(seg.buf_keys, key)

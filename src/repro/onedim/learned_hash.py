@@ -148,12 +148,10 @@ class LearnedHashIndex(MutableOneDimIndex):
         return out
 
     # -- updates -----------------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
+    def _insert(self, key: float, value: object | None) -> None:
         """Occupancy-bounded replace scan: the model spreads keys across
         ``num_buckets`` proportional to n, so one bucket's chain stays a
         constant expected length."""
-        self._require_built()
-        key = float(key)
         if not self._buckets:
             self._buckets = [[] for _ in range(8)]
         bucket = self._buckets[self._bucket_of(key)]
@@ -164,9 +162,7 @@ class LearnedHashIndex(MutableOneDimIndex):
         bucket.append((key, value))
         self._size += 1
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        key = float(key)
+    def _delete(self, key: float) -> bool:
         if not self._buckets:
             return False
         bucket = self._buckets[self._bucket_of(key)]

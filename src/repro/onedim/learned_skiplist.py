@@ -107,12 +107,12 @@ class LearnedSkipList(SkipListIndex):
         return None
 
     # -- updates invalidate the guide ----------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        super().insert(key, value)
+    def _insert(self, key: float, value: object | None) -> None:
+        super()._insert(key, value)
         self._dirty_ops += 1
 
-    def delete(self, key: float) -> bool:
-        result = super().delete(key)
+    def _delete(self, key: float) -> bool:
+        result = super()._delete(key)
         if result:
             self._dirty_ops += 1
             # A deleted node may still be referenced by the guide; rebuild

@@ -234,9 +234,7 @@ class LIPPIndex(MutableOneDimIndex):
             yield from walk(self._root)
 
     # -- writes --------------------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         if self._root is None:
             self._root = self._build_node(np.array([key]), [value])
             self._size = 1
@@ -305,9 +303,7 @@ class LIPPIndex(MutableOneDimIndex):
         node.count = rebuilt.count
         self.stats.extra["rebuilds"] = self.stats.extra.get("rebuilds", 0) + 1
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        key = float(key)
+    def _delete(self, key: float) -> bool:
         node = self._root
         path: list[tuple[_LippNode, int]] = []
         while node is not None:

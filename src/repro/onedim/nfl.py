@@ -147,9 +147,7 @@ class NFLIndex(MutableOneDimIndex):
         return out
 
     # -- writes -------------------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         if self._keys.size:
             pos = int(np.searchsorted(self._keys, key, side="left"))
             if pos < self._keys.size and self._keys[pos] == key:
@@ -177,9 +175,7 @@ class NFLIndex(MutableOneDimIndex):
         self.build(merged_keys[order], [merged_values[i] for i in order])
         self.stats.extra["rebuilds"] = self.stats.extra.get("rebuilds", 0) + 1
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        key = float(key)
+    def _delete(self, key: float) -> bool:
         bpos = bisect.bisect_left(self._buf_keys, key)
         if bpos < len(self._buf_keys) and self._buf_keys[bpos] == key:
             del self._buf_keys[bpos]

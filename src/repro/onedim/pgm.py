@@ -40,6 +40,11 @@ class PGMIndex(OneDimIndex):
     """
 
     name = "pgm"
+    #: Rows from which ``lookup_batch`` runs the kernel: at 10⁵ keys a
+    #: two-level kernel call costs ~60 µs and a scalar lookup ~6 µs (E17's
+    #: crossover arm; DESIGN.md "Small batches").  :meth:`_find_batch` asks
+    #: the same of the rows it is given.
+    batch_crossover = 12
 
     def __init__(self, epsilon: int = 64, epsilon_recursive: int = 4) -> None:
         super().__init__()
@@ -158,20 +163,24 @@ class PGMIndex(OneDimIndex):
         return np.zeros(m, dtype=np.int64)  # pragma: no cover
 
     def _find_batch(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_find` on a non-empty index: ``(positions,
-        hit mask)``; a position is meaningful only where the mask is set."""
+        """:meth:`_find` per row on a non-empty index: ``(positions, hit
+        mask)``; a position is meaningful only where the mask is set.
+
+        Below :attr:`batch_crossover` rows the scalar :meth:`_locate`
+        runs per row, which is what a dynamic PGM's per-level probe of
+        its few unanswered rows and its tombstone pruning mostly send.
+        """
         n = self._keys.size
-        pos = self._locate_batch(qs)
+        if self._use_kernel(qs.size):
+            pos = self._locate_batch(qs)
+        else:
+            pos = np.fromiter(map(self._locate, qs.tolist()), dtype=np.int64, count=qs.size)
         return pos, (pos < n) & (self._keys[np.minimum(pos, n - 1)] == qs)
 
-    def lookup_batch(self, keys) -> np.ndarray:
+    def _lookup_batch(self, qs: np.ndarray) -> np.ndarray:
         """Vectorized batch lookup (element-wise equal to scalar lookups)."""
-        self._require_built()
-        qs = np.asarray(keys, dtype=np.float64)
-        if qs.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
         out = np.full(qs.size, None, dtype=object)
-        if self._keys.size == 0 or qs.size == 0:
+        if self._keys.size == 0:
             return out
         pos, hit = self._find_batch(qs)
         hit_idx = np.nonzero(hit)[0]
@@ -214,6 +223,9 @@ class DynamicPGMIndex(MutableOneDimIndex):
     """
 
     name = "dynamic-pgm"
+    #: Rows from which ``lookup_batch`` runs the kernel; E17's crossover
+    #: arm reads PGM's value at 10⁵ keys in one static level.
+    batch_crossover = 12
 
     def __init__(self, epsilon: int = 64, buffer_capacity: int = 256) -> None:
         super().__init__()
@@ -253,17 +265,13 @@ class DynamicPGMIndex(MutableOneDimIndex):
         self.stats.extra["static_levels"] = sum(1 for idx in self._static if idx is not None)
 
     # -- writes -----------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         self._buffer[key] = value
         self._deleted.discard(key)
         if len(self._buffer) >= self.buffer_capacity:
             self._merge_buffer()
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        key = float(key)
+    def _delete(self, key: float) -> bool:
         present = self.lookup(key) is not None
         if not present:
             return False
@@ -384,7 +392,7 @@ class DynamicPGMIndex(MutableOneDimIndex):
                 return index._values[pos]
         return None
 
-    def lookup_batch(self, keys) -> np.ndarray:
+    def _lookup_batch(self, qs: np.ndarray) -> np.ndarray:
         """Base-plus-delta batch lookup, element-wise equal to scalar lookups.
 
         One probe per row against the delta (tombstones and buffer)
@@ -393,10 +401,6 @@ class DynamicPGMIndex(MutableOneDimIndex):
         newest first: each level answers the rows it holds and passes
         the others on, so a key is read from the newest level holding it.
         """
-        self._require_built()
-        qs = np.asarray(keys, dtype=np.float64)
-        if qs.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
         out = np.full(qs.size, None, dtype=object)
         pending = self._probe_delta(qs, out)
         for index in self._static:

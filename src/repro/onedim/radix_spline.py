@@ -31,6 +31,10 @@ class RadixSplineIndex(OneDimIndex):
     """
 
     name = "radix-spline"
+    #: Rows from which ``lookup_batch`` runs the kernel: at 10⁵ keys a
+    #: kernel call costs ~48 µs and a scalar lookup ~4.5 µs (E17's
+    #: crossover arm; DESIGN.md "Small batches").
+    batch_crossover = 12
 
     def __init__(self, max_error: int = 32, radix_bits: int = 12) -> None:
         super().__init__()
@@ -121,16 +125,12 @@ class RadixSplineIndex(OneDimIndex):
             return self._values[pos]
         return None
 
-    def lookup_batch(self, keys) -> np.ndarray:
+    def _lookup_batch(self, qs: np.ndarray) -> np.ndarray:
         """Vectorized batch lookup: radix routing, then the column's
         predict, clamp and bounded correction, as whole-batch kernels."""
-        self._require_built()
-        qs = np.asarray(keys, dtype=np.float64)
-        if qs.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
         out = np.full(qs.size, None, dtype=object)
         n = self._keys.size
-        if n == 0 or qs.size == 0:
+        if n == 0:
             return out
         pos = self._column.search_batch(self._keys, self._route_batch(qs), qs, self.stats)
         hit = (pos < n) & (self._keys[np.minimum(pos, n - 1)] == qs)

@@ -49,6 +49,10 @@ class RMIIndex(OneDimIndex):
     """
 
     name = "rmi"
+    #: Rows from which ``lookup_batch`` runs the kernel: at 10⁵ keys a
+    #: kernel call costs ~32 µs and a scalar lookup ~3.5 µs (E17's
+    #: crossover arm; DESIGN.md "Small batches").
+    batch_crossover = 12
 
     def __init__(self, num_models: int = 128, root: str = "linear") -> None:
         super().__init__()
@@ -196,7 +200,7 @@ class RMIIndex(OneDimIndex):
             return self._values[pos]
         return None
 
-    def lookup_batch(self, keys) -> np.ndarray:
+    def _lookup_batch(self, qs: np.ndarray) -> np.ndarray:
         """Vectorized batch lookup: one numpy pass over the whole batch.
 
         Mirrors the scalar path arithmetic exactly — root prediction,
@@ -205,14 +209,10 @@ class RMIIndex(OneDimIndex):
         the scalar ``exponential_search`` fallback converges to) — so a
         batch equals a loop of :meth:`lookup` calls element-wise.
         """
-        self._require_built()
-        qs = np.asarray(keys, dtype=np.float64)
-        if qs.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
         m = qs.size
         out = np.full(m, None, dtype=object)
         n = self._keys.size
-        if n == 0 or m == 0:
+        if n == 0:
             return out
         # fmin, not clip: a NaN query routes to the last leaf and the end
         # of the keys, as in the scalar path.

@@ -157,9 +157,7 @@ class XIndexStyleIndex(MutableOneDimIndex):
         return out
 
     # -- writes --------------------------------------------------------------
-    def insert(self, key: float, value: object | None = None) -> None:
-        self._require_built()
-        key = float(key)
+    def _insert(self, key: float, value: object | None) -> None:
         group = self._group_for(key)
         if group is None:
             self._groups = [_Group(key, np.array([key]), [value])]
@@ -214,9 +212,7 @@ class XIndexStyleIndex(MutableOneDimIndex):
         self._pivots = [g.pivot for g in self._groups]
         self.stats.extra["compactions"] = self.stats.extra.get("compactions", 0) + 1
 
-    def delete(self, key: float) -> bool:
-        self._require_built()
-        key = float(key)
+    def _delete(self, key: float) -> bool:
         group = self._group_for(key)
         if group is None:
             return False

@@ -112,9 +112,32 @@ class TestRPR002BatchParityCoverage:
         assert len(findings) == 1
         assert "lookup_batch" in findings[0].message
 
+    @pytest.mark.parametrize("kernel, dict_name", [
+        ("_lookup_batch", "ONE_DIM_FACTORIES"),
+        ("_point_query_batch", "MULTI_DIM_FACTORIES"),
+    ])
+    def test_fires_on_uncovered_kernel_override(self, tmp_path, kernel, dict_name):
+        ctx, _ = _synthetic_view(tmp_path, batch_overrides=(kernel,))
+        ctx.registry.factory_members[dict_name] = set()
+        findings = run_analysis(ctx, ["RPR002"]).findings
+        assert len(findings) == 1
+        assert kernel in findings[0].message and dict_name in findings[0].message
+
     def test_quiet_when_override_is_covered(self, tmp_path):
         ctx, _ = _synthetic_view(tmp_path, batch_overrides=("lookup_batch",))
         assert run_analysis(ctx, ["RPR002"]).findings == []
+
+    def test_live_view_sees_the_family_kernels(self):
+        from repro.analysis.registry_view import build_registry_view
+
+        overrides = {info.name: info.batch_overrides for info in build_registry_view().classes}
+        for name in ("SortedArrayIndex", "RMIIndex", "PGMIndex", "DynamicPGMIndex",
+                     "RadixSplineIndex"):
+            assert overrides[name] == ("_lookup_batch",), name
+        for name in ("ZMIndex", "LISAIndex"):
+            assert overrides[name] == ("_point_query_batch",), name
+        for name in ("FloodIndex", "GridIndex"):
+            assert overrides[name] == ("_point_query_batch", "range_query_batch"), name
 
     def test_fires_when_parity_test_drops_the_dicts(self, tmp_path):
         ctx, module = _synthetic_view(tmp_path)

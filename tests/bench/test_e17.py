@@ -6,7 +6,10 @@ import json
 
 import pytest
 
-from repro.bench.batch import DEFAULT_E17_INDEXES, run_e17
+import numpy as np
+
+from repro.bench.batch import CROSSOVER_ROWS, DEFAULT_E17_CROSSOVER, DEFAULT_E17_INDEXES, run_e17
+from repro.bench.runner import ONE_DIM_FACTORIES
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.__main__ import main
 
@@ -65,6 +68,45 @@ class TestRunE17:
     def test_defaults_include_vectorized_and_fallback_contenders(self):
         assert "rmi" in DEFAULT_E17_INDEXES
         assert "b+tree" in DEFAULT_E17_INDEXES  # loop-fallback control
+
+
+class TestE17CrossoverArm:
+    def test_artifact_carries_one_curve_per_kernel_family(self, tmp_path):
+        out = tmp_path / "bench.json"
+        rows = run_e17(indexes=["binary-search"], smoke=True, out=str(out))
+        assert [r["index"] for r in rows] == ["binary-search"]  # rows stay the headline
+        payload = json.loads(out.read_text())
+        assert set(payload["results"]) == {"binary-search"}
+        curves = payload["crossover"]
+        assert list(curves) == list(DEFAULT_E17_CROSSOVER)
+        for name, curve in curves.items():
+            n = len(curve["rows"])
+            assert curve["rows"] == list(CROSSOVER_ROWS[:n]) and n >= 2
+            assert len(curve["kernel_us"]) == len(curve["scalar_us"]) == n
+            assert min(curve["kernel_us"] + curve["scalar_us"]) > 0
+            assert curve["batch_crossover"] == type(ONE_DIM_FACTORIES[name]()).batch_crossover
+            assert curve["measured"] is None or curve["measured"] in curve["rows"]
+
+    def test_measured_is_where_the_kernel_stops_losing(self):
+        from repro.bench.batch import measure_crossover
+
+        index = ONE_DIM_FACTORIES["pgm"]().build(np.arange(2000.0))
+        curve = measure_crossover(index, np.arange(2000.0), rows=(1, 64), calls=3, rounds=1)
+        kernel, scalar = curve["kernel_us"], curve["scalar_us"]
+        expect = None
+        for rows, k_us, s_us in reversed(list(zip(curve["rows"], kernel, scalar))):
+            if k_us > s_us:
+                break
+            expect = rows
+        assert curve["measured"] == expect
+        assert type(index).batch_crossover == 12  # the arm restores the constants
+
+    def test_empty_arm_is_skipped_and_unknown_names_raise(self, tmp_path):
+        out = tmp_path / "bench.json"
+        run_e17(indexes=["rmi"], smoke=True, out=str(out), crossover="")
+        assert json.loads(out.read_text())["crossover"] == {}
+        with pytest.raises(KeyError, match="no-such-index"):
+            run_e17(indexes=["rmi"], smoke=True, out=None, crossover="no-such-index")
 
 
 class TestE17Cli:

@@ -62,6 +62,16 @@ class TestRunE18:
         assert {"zm-index", "flood", "grid", "lisa"} <= set(DEFAULT_E18_INDEXES)
         assert "kd-tree" in DEFAULT_E18_INDEXES  # loop-fallback control
 
+    def test_crossover_arm_on_the_first_dataset(self, tmp_path):
+        out = tmp_path / "bench_md.json"
+        run_e18(indexes=["kd-tree"], datasets="uniform,skew", smoke=True,
+                out=str(out), crossover="zm-index,grid")
+        curves = json.loads(out.read_text())["crossover"]
+        assert list(curves) == ["zm-index", "grid"]
+        for curve in curves.values():
+            assert len(curve["rows"]) == len(curve["kernel_us"]) == len(curve["scalar_us"]) >= 2
+        assert curves["grid"]["batch_crossover"] == 1
+
 
 class TestE18Cli:
     def test_registered(self):

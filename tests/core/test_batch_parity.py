@@ -10,6 +10,9 @@ diverge.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -193,16 +196,57 @@ class TestMultiDimBatchParity:
             index.range_query_batch(np.zeros(2), np.zeros(2))
 
 
+#: The families with a 1-d ``_lookup_batch`` / multi-d
+#: ``_point_query_batch`` kernel behind the public batch entry point.
+KERNELS_1D = ["binary-search", "rmi", "pgm", "radix-spline", "dynamic-pgm"]
+KERNELS_ND = ["zm-index", "flood", "grid", "lisa"]
+
+_COUNTERS = ("comparisons", "keys_scanned", "nodes_visited", "model_predictions",
+             "corrections")
+
+
+@contextmanager
+def _spy(cls, method):
+    """Record the row count of every call of ``cls.method`` in the block."""
+    calls: list[int] = []
+    real = getattr(cls, method)
+
+    def recording(self, qs, *args):
+        calls.append(len(qs))
+        return real(self, qs, *args)
+
+    with mock.patch.object(cls, method, recording):
+        yield calls
+
+
+def _rows(queries, count):
+    """``count`` rows cycling through ``queries``: hits, misses, ties."""
+    return np.resize(queries, (count, *queries.shape[1:]))
+
+
+def _counters(index):
+    return {name: getattr(index.stats, name) for name in _COUNTERS}
+
+
+def _crossover_cases(names, factories):
+    """``(name, rows)`` for rows k - 1, k and k + 1 around each family's k."""
+    cases = []
+    for name in names:
+        k = type(factories[name]()).batch_crossover
+        cases += [(name, rows) for rows in (k - 1, k, k + 1) if rows >= 1]
+    return cases
+
+
 class TestVectorizedOverridesStayVectorized:
     """Guard: the hot indexes must not fall back to the scalar loop."""
 
-    @pytest.mark.parametrize("name", ["binary-search", "rmi", "pgm", "radix-spline",
-                                      "dynamic-pgm"])
+    @pytest.mark.parametrize("name", KERNELS_1D)
     def test_override_defined_on_class(self, name):
         from repro.core.interfaces import OneDimIndex
 
         cls = type(ONE_DIM_FACTORIES[name]())
-        assert cls.lookup_batch is not OneDimIndex.lookup_batch
+        assert cls._lookup_batch is not OneDimIndex._lookup_batch
+        assert cls.lookup_batch is OneDimIndex.lookup_batch  # the one entry point
 
     @pytest.mark.parametrize("name", ["rmi", "pgm", "radix-spline"])
     def test_batch_counters_aggregate(self, name):
@@ -212,12 +256,13 @@ class TestVectorizedOverridesStayVectorized:
         assert index.stats.model_predictions >= QUERIES_1D.size
         assert index.stats.corrections > 0
 
-    @pytest.mark.parametrize("name", ["zm-index", "flood", "grid", "lisa"])
+    @pytest.mark.parametrize("name", KERNELS_ND)
     def test_multi_dim_point_override_defined_on_class(self, name):
         from repro.core.interfaces import MultiDimIndex
 
         cls = type(MULTI_DIM_FACTORIES[name]())
-        assert cls.point_query_batch is not MultiDimIndex.point_query_batch
+        assert cls._point_query_batch is not MultiDimIndex._point_query_batch
+        assert cls.point_query_batch is MultiDimIndex.point_query_batch
 
     @pytest.mark.parametrize("name", ["flood", "grid"])
     def test_multi_dim_range_override_defined_on_class(self, name):
@@ -225,3 +270,108 @@ class TestVectorizedOverridesStayVectorized:
 
         cls = type(MULTI_DIM_FACTORIES[name]())
         assert cls.range_query_batch is not MultiDimIndex.range_query_batch
+
+    @pytest.mark.parametrize("name", KERNELS_1D)
+    def test_kernel_runs_at_the_crossover_and_not_below(self, name):
+        index = ONE_DIM_FACTORIES[name]().build(KEYS_1D)
+        k = type(index).batch_crossover
+        for rows, expect in ((k - 1, []), (k, [k]), (k + 1, [k + 1])):
+            if rows < 1:
+                continue
+            with _spy(type(index), "_lookup_batch") as calls:
+                index.lookup_batch(QUERIES_1D[:rows])
+            assert calls == expect, (name, rows)
+
+    @pytest.mark.parametrize("name", KERNELS_ND)
+    def test_multi_dim_kernel_runs_at_the_crossover_and_not_below(self, name):
+        index = MULTI_DIM_FACTORIES[name]().build(POINTS_ND)
+        k = type(index).batch_crossover
+        queries = _rows(QUERIES_ND, k + 1)
+        for rows, expect in ((k - 1, []), (k, [k]), (k + 1, [k + 1])):
+            if rows < 1:
+                continue
+            with _spy(type(index), "_point_query_batch") as calls:
+                index.point_query_batch(queries[:rows])
+            assert calls == expect, (name, rows)
+
+    def test_pgm_find_batch_takes_the_scalar_locate_below_the_crossover(self):
+        from repro.onedim import PGMIndex
+
+        index = PGMIndex().build(KEYS_1D)
+        k = PGMIndex.batch_crossover
+        for rows, kernel in ((k - 1, False), (k, True)):
+            qs = QUERIES_1D[:rows]
+            with _spy(PGMIndex, "_locate_batch") as calls:
+                pos, hit = index._find_batch(qs)
+            assert bool(calls) == kernel
+            assert pos.dtype == np.int64
+            expect = [index._find(float(q)) for q in qs]
+            assert [int(p) if h else -1 for p, h in zip(pos, hit)] == expect
+
+    @pytest.mark.parametrize("name", KERNELS_1D + KERNELS_ND)
+    def test_crossover_is_a_class_constant(self, name):
+        import inspect
+
+        factories = {**ONE_DIM_FACTORIES, **MULTI_DIM_FACTORIES}
+        cls = type(factories[name]())
+        assert "batch_crossover" in vars(cls)
+        assert isinstance(cls.batch_crossover, int) and cls.batch_crossover >= 1
+        assert "batch_crossover" not in inspect.signature(cls).parameters
+        assert "batch_crossover" not in vars(factories[name]())
+
+
+class TestCrossoverParity:
+    """Rows k - 1, k and k + 1 around each family's ``batch_crossover``.
+
+    Answers equal the scalar loop on both sides.  Below k the batch call
+    *is* the scalar loop, so its counters equal the loop's exactly; from
+    k up they are the kernel's per-batch aggregates.
+    """
+
+    @pytest.mark.parametrize("name, rows", _crossover_cases(KERNELS_1D, ONE_DIM_FACTORIES))
+    def test_one_dim_answers_and_counters(self, name, rows):
+        index = ONE_DIM_FACTORIES[name]().build(KEYS_1D)
+        qs = _rows(QUERIES_1D, rows)
+        index.stats.reset_counters()
+        batch = index.lookup_batch(qs)
+        batch_counters = _counters(index)
+        index.stats.reset_counters()
+        scalar = [index.lookup(float(q)) for q in qs]
+        scalar_counters = _counters(index)
+        assert batch.tolist() == scalar
+        assert index.contains_batch(qs).tolist() == [s is not None for s in scalar]
+        if rows < type(index).batch_crossover:
+            assert batch_counters == scalar_counters
+        else:
+            index.stats.reset_counters()
+            index._lookup_batch(qs)
+            assert batch_counters == _counters(index)
+
+    @pytest.mark.parametrize("name, rows", _crossover_cases(KERNELS_ND, MULTI_DIM_FACTORIES))
+    def test_multi_dim_answers_and_counters(self, name, rows):
+        index = MULTI_DIM_FACTORIES[name]().build(POINTS_ND)
+        qs = _rows(QUERIES_ND, rows)
+        index.stats.reset_counters()
+        batch = index.point_query_batch(qs)
+        batch_counters = _counters(index)
+        index.stats.reset_counters()
+        scalar = [index.point_query(q) for q in qs]
+        scalar_counters = _counters(index)
+        assert batch.tolist() == scalar
+        if rows < type(index).batch_crossover:
+            assert batch_counters == scalar_counters
+        else:
+            index.stats.reset_counters()
+            index._point_query_batch(qs)
+            assert batch_counters == _counters(index)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_mutated_dynamic_pgm_around_the_crossover(self, offset):
+        from repro.onedim import DynamicPGMIndex
+
+        index, written = _mutated_dynamic_pgm()
+        rows = DynamicPGMIndex.batch_crossover + offset
+        queries = np.concatenate([written, QUERIES_1D, [np.inf, -0.0]])
+        for start in range(0, queries.size - rows, rows):
+            qs = queries[start:start + rows]
+            assert index.lookup_batch(qs).tolist() == [index.lookup(float(q)) for q in qs]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.registry_view import build_registry_view
+from repro.analysis.registry_view import BATCH_METHODS, build_registry_view
 from repro.bench import runner
 from repro.core import registry
 
@@ -78,11 +78,7 @@ def test_batch_overrides_inside_parity_factories(view):
     """Dynamic twin of RPR002: overrides must be parity-parametrized."""
     for info in view.classes:
         for meth in info.batch_overrides:
-            dict_name = (
-                "ONE_DIM_FACTORIES"
-                if meth in ("lookup_batch", "contains_batch")
-                else "MULTI_DIM_FACTORIES"
-            )
+            dict_name = BATCH_METHODS[meth]
             assert info.qualname in view.factory_members[dict_name], (
                 f"{info.qualname}.{meth} escapes the batch-parity suite"
             )

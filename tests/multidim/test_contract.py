@@ -195,3 +195,15 @@ class TestInfiniteCoordinates:
         for lo, hi in boxes:
             got = sorted(v for _, v in index.range_query(lo, hi))
             assert got == brute_force_range_nd(points, lo, hi), (lo, hi)
+
+
+class TestSpanOverflow:
+    """Finite points whose span in one dimension overflows float64 are
+    refused at build, naming the dimension."""
+
+    def test_build_refuses_an_overflowing_span(self, any_factory):
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(0.0, 1.0, 200),
+                               rng.uniform(-1.0, 1.0, 200) * 1.7e308])
+        with pytest.raises(ValueError, match="dimension-1 .* overflows"):
+            any_factory().build(pts)

@@ -235,3 +235,42 @@ class TestStatsContract:
     def test_len(self, any_factory, uniform_keys):
         index = any_factory().build(uniform_keys)
         assert len(index) == uniform_keys.size
+
+
+class TestRefusedWrites:
+    """A NaN or infinite write is refused at the one write entry point
+    (``MutableOneDimIndex.insert``/``delete``) and leaves the index as
+    it was: the same length, every lookup and every range unchanged,
+    and later writes still land."""
+
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_refused_write_changes_nothing(self, mutable_factory, op, bad):
+        keys = np.arange(100.0)
+        index = mutable_factory().build(keys)
+        before = (len(index), index.lookup_batch(keys).tolist(),
+                  index.range_query(-np.inf, np.inf), index.range_query(10.0, 20.0))
+        with pytest.raises(ValueError, match="finite"):
+            if op == "insert":
+                index.insert(bad, "bad")
+            else:
+                index.delete(bad)
+        after = (len(index), index.lookup_batch(keys).tolist(),
+                 index.range_query(-np.inf, np.inf), index.range_query(10.0, 20.0))
+        assert after == before
+        fresh = np.arange(100.0, 400.0)
+        for k in fresh:
+            index.insert(float(k), int(k))
+        every = np.concatenate([keys, fresh])
+        assert index.lookup_batch(every).tolist() == list(range(100)) + list(range(100, 400))
+        assert [k for k, _ in index.range_query(-np.inf, np.inf)] == every.tolist()
+
+
+class TestSpanOverflow:
+    """Finite keys whose span ``max - min`` overflows float64 are refused
+    at build: families that scale by the span would miss every key."""
+
+    def test_build_refuses_an_overflowing_span(self, any_factory):
+        keys = np.random.default_rng(3).uniform(-1.0, 1.0, 300) * 1.7e308
+        with pytest.raises(ValueError, match="overflows"):
+            any_factory().build(keys)

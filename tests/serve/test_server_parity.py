@@ -208,3 +208,57 @@ def test_overloaded_sync_call_raises_runtime_error():
             server._coalescer = real
     finally:
         server.close()
+
+
+def test_cached_submit_misses_drain_around_the_crossover():
+    """Per-request ``submit`` through the result cache, as ``serve_cached``
+    drives it: the misses queued on each shard drain as one batch call
+    of 2..2k rows (k = PGM's ``batch_crossover``; one row takes the
+    coalescer's scalar path), which runs the scalar loop below k and the
+    kernel from k on, and every answer — fresh and
+    then from the cache — is what the bare index returns."""
+    from unittest import mock
+
+    from repro.onedim import PGMIndex
+
+    k = PGMIndex.batch_crossover
+    keys = np.arange(0.0, 4000.0)
+    values = [f"v{i}" for i in range(keys.size)]
+    direct = PGMIndex().build(keys, values)
+    # Built but never started: requests wait in their queues until flush().
+    server = IndexServer(PGMIndex, num_shards=4, cache_size=4096)
+    server.store.build(keys, values)
+    store = server.store
+    drained: list[int] = []
+    kernel_rows: list[int] = []
+    real_kernel = PGMIndex._lookup_batch
+
+    def kernel(self, qs):
+        kernel_rows.append(qs.size)
+        return real_kernel(self, qs)
+
+    for shard in store.shards:
+        real = shard.lookup_batch
+        shard.lookup_batch = lambda qs, real=real: (drained.append(len(qs)), real(qs))[1]
+    # Fresh keys every round (hits and between-key misses), so each
+    # round's requests all miss the cache.
+    pool = np.random.default_rng(9).permutation(np.concatenate([keys, keys + 0.5]))
+    by_shard: list[list[float]] = [[] for _ in store.shards]
+    for key in pool.tolist():
+        by_shard[store.route_key(key)].append(key)
+    with server, mock.patch.object(PGMIndex, "_lookup_batch", kernel):
+        for rows in range(1, 2 * k + 1):
+            round_keys = [by_shard[s].pop() for s in range(len(by_shard)) for _ in range(rows)]
+            requests = [Request(op=Op.LOOKUP, key=key) for key in round_keys]
+            expected = [direct.lookup(key) for key in round_keys]
+            drained.clear()
+            kernel_rows.clear()
+            tickets = [server.submit(r) for r in requests]
+            server._coalescer.flush()
+            assert [t.result(timeout=10.0).value for t in tickets] == expected
+            # A one-row drain takes the coalescer's own scalar path.
+            assert drained == ([rows] * len(by_shard) if rows > 1 else [])
+            assert kernel_rows == ([rows] * len(by_shard) if rows >= k else [])
+            again = [server.submit(r) for r in requests]
+            assert all(t.done() for t in again)
+            assert [t.result(timeout=0).value for t in again] == expected
