@@ -25,9 +25,9 @@ import json
 import platform
 import sys
 import time
-from contextlib import contextmanager
+from bisect import bisect_left
 from pathlib import Path
-from typing import Iterator
+from unittest import mock
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.bench.runner import (
     measure_batch_lookups,
     measure_lookups,
 )
-from repro.core.interfaces import MultiDimIndex, OneDimIndex
+from repro.core.interfaces import MultiDimIndex, _BuiltState
 from repro.data import load_1d, load_nd, point_lookups, range_queries_nd
 
 __all__ = [
@@ -93,71 +93,62 @@ def _environment_metadata() -> dict:
     }
 
 
-def _names(value) -> list[str]:
-    """An index-name list from a sequence or a comma-separated string."""
-    if isinstance(value, str):  # e.g. --param indexes=rmi,pgm
-        return [name for name in value.split(",") if name]
-    return list(value or ())
+#: The two sides of the dispatch, as replacements for the one predicate
+#: every batch entry point (and a dynamic PGM's per-level probe) asks.
+_SIDES = (("kernel_us", lambda self, rows: True), ("scalar_us", lambda self, rows: False))
 
 
-def _check_known(names: list[str], factories: dict, what: str) -> None:
-    unknown = [name for name in names if name not in factories]
-    if unknown:
-        raise KeyError(f"unknown {what} indexes {unknown!r}; have {sorted(factories)}")
+def _first_never_losing(rows: list[int], kernel_us: list[float],
+                        scalar_us: list[float]) -> int | None:
+    """The smallest row count from which the kernel is never slower than
+    the scalar loop, or ``None`` when it loses at the last count."""
+    measured = None
+    for r, kernel, scalar in reversed(list(zip(rows, kernel_us, scalar_us))):
+        if kernel > scalar:
+            break
+        measured = r
+    return measured
 
 
-@contextmanager
-def _every_batch_takes(crossover: int) -> Iterator[None]:
-    """Set ``batch_crossover`` to ``crossover`` on every index class for
-    the block: 1 sends each batch (and a dynamic PGM's per-level probe)
-    to the kernels, ``sys.maxsize`` sends each to the scalar loop."""
-    classes: list[tuple[type, int | None]] = []
-    stack: list[type] = [OneDimIndex, MultiDimIndex]
-    while stack:
-        cls = stack.pop()
-        classes.append((cls, vars(cls).get("batch_crossover")))
-        stack.extend(cls.__subclasses__())
-    try:
-        for cls, _ in classes:
-            setattr(cls, "batch_crossover", crossover)
-        yield
-    finally:
-        for cls, own in classes:
-            if own is None:
-                delattr(cls, "batch_crossover")
-            else:
-                setattr(cls, "batch_crossover", own)
+def _drifted(measured: int | None, committed: int) -> bool:
+    """Whether ``measured`` sits more than one :data:`CROSSOVER_ROWS`
+    step away from the committed ``batch_crossover``."""
+    if measured is None:
+        return True
+    return abs(bisect_left(CROSSOVER_ROWS, measured)
+               - bisect_left(CROSSOVER_ROWS, committed)) > 1
 
 
-def measure_crossover(index, pool: np.ndarray, rows=CROSSOVER_ROWS,
-                      calls: int = 40, rounds: int = 5) -> dict:
-    """Kernel against scalar loop, µs per batch call, at each row count.
+def measure_crossover(index, pool: np.ndarray, calls: int = 40, rounds: int = 5) -> dict:
+    """Kernel against scalar loop, µs per batch call, at each row count
+    of :data:`CROSSOVER_ROWS`.
 
     Both sides go through the public batch entry point, so both pay its
-    one validation; :func:`_every_batch_takes` picks the side.  Each call
-    reads fresh queries from ``pool``, the sides alternate round by
-    round, and each keeps its fastest round's mean.  ``measured`` is the
-    smallest row count from which the kernel is never slower (``None``
-    when it loses at the last count measured); ``batch_crossover`` is
-    the family's committed value.  The curve stops early once the kernel
-    is twice as fast at two row counts in a row (:data:`CROSSOVER_ROWS`).
+    one validation; the side is picked by patching ``_use_kernel``.
+    Each call reads fresh queries from ``pool``, the sides alternate
+    round by round, and each keeps its fastest round's mean.
+    ``measured`` is the smallest row count from which the kernel is
+    never slower (``None`` when it loses at the last count measured);
+    ``batch_crossover`` is the family's committed value.  The curve
+    stops early once the kernel is twice as fast at two row counts in a
+    row.
     """
     call = index.point_query_batch if pool.ndim == 2 else index.lookup_batch
     offset = 0
     curve: dict[str, list[float]] = {"kernel_us": [], "scalar_us": []}
     timed: list[int] = []
-    for r in rows:
+    for r in CROSSOVER_ROWS:
         if len(timed) >= 2 and all(2 * curve["kernel_us"][i] <= curve["scalar_us"][i]
                                    for i in (-1, -2)):
             break
         timed.append(r)
         best = {"kernel_us": float("inf"), "scalar_us": float("inf")}
         for _ in range(rounds):
-            for side, crossover in (("kernel_us", 1), ("scalar_us", sys.maxsize)):
+            for side, use_kernel in _SIDES:
                 picks = np.arange(offset, offset + calls * r) % pool.shape[0]
                 offset += calls * r
                 batches = [pool[picks[i * r:(i + 1) * r]] for i in range(calls)]
-                with _every_batch_takes(crossover):
+                with mock.patch.object(_BuiltState, "_use_kernel", use_kernel):
                     t0 = time.perf_counter()
                     for qs in batches:
                         call(qs)
@@ -165,29 +156,34 @@ def measure_crossover(index, pool: np.ndarray, rows=CROSSOVER_ROWS,
                 best[side] = min(best[side], elapsed / calls * 1e6)
         for side, us in best.items():
             curve[side].append(us)
-    measured: int | None = None
-    for i in range(len(timed) - 1, -1, -1):
-        if curve["kernel_us"][i] > curve["scalar_us"][i]:
-            break
-        measured = timed[i]
     return {
         "batch_crossover": type(index).batch_crossover,
-        "measured": measured,
+        "measured": _first_never_losing(timed, curve["kernel_us"], curve["scalar_us"]),
         "rows": timed,
         **curve,
     }
 
 
-def _crossover_arm(built: dict, pool: np.ndarray, smoke: bool) -> dict[str, dict]:
-    """:func:`measure_crossover` per built index, sized for ``smoke``."""
+def _crossover_arm(indexes: dict, pool: np.ndarray, smoke: bool) -> dict[str, dict]:
+    """:func:`measure_crossover` per built index, sized for ``smoke``.
+
+    A family whose measured crossover sits more than one row step from
+    its committed constant is reported on stderr: the constant has
+    drifted from this machine's curve (or the curve is too noisy to
+    place it)."""
     calls, rounds = (8, 2) if smoke else (40, 5)
-    return {name: measure_crossover(index, pool, calls=calls, rounds=rounds)
-            for name, index in built.items()}
+    curves = {}
+    for name, index in indexes.items():
+        curve = curves[name] = measure_crossover(index, pool, calls=calls, rounds=rounds)
+        if _drifted(curve["measured"], curve["batch_crossover"]):
+            print(f"crossover drift: {name} measured {curve['measured']} rows, "
+                  f"batch_crossover is {curve['batch_crossover']}", file=sys.stderr)
+    return curves
 
 
 def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
             indexes=None, seed: int = 1, out: str | None = "BENCH_batch.json",
-            smoke: bool = False, crossover=DEFAULT_E17_CROSSOVER) -> list[dict]:
+            smoke: bool = False) -> list[dict]:
     """E17: batched vs. per-key lookup throughput per index.
 
     Args:
@@ -200,9 +196,6 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
         seed: RNG seed for data and queries.
         out: path of the JSON artifact, or ``None``/"" to skip writing.
         smoke: shrink to a seconds-scale CI configuration.
-        crossover: the crossover arm's indexes (sequence or
-            comma-separated string; ``""`` skips the arm).  Its curves go
-            to the artifact's ``crossover`` section, not to the rows.
 
     Returns:
         One row per index with scalar/batch ops/sec, the batch-vs-scalar
@@ -210,13 +203,18 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
         ``vs_binary_batch`` (batch ops/sec over ``binary-search``'s; the
         regression-gated headline).  Batch numbers are each index's
         fastest call over :data:`E17_BATCH_ROUNDS` interleaved rounds.
+        The crossover arm over :data:`DEFAULT_E17_CROSSOVER` goes to the
+        artifact's ``crossover`` section, not to the rows.
     """
     if smoke:
         n = min(n, 5000)
         batch = min(batch, 1000)
-    names = _names(indexes) or list(DEFAULT_E17_INDEXES)
-    arm = _names(crossover)
-    _check_known(names + arm, ONE_DIM_FACTORIES, "1-d")
+    if isinstance(indexes, str):  # e.g. --param indexes=rmi,pgm
+        indexes = [name for name in indexes.split(",") if name]
+    names = list(indexes) if indexes else list(DEFAULT_E17_INDEXES)
+    unknown = [name for name in names if name not in ONE_DIM_FACTORIES]
+    if unknown:
+        raise KeyError(f"unknown 1-d indexes {unknown!r}; have {sorted(ONE_DIM_FACTORIES)}")
 
     keys = load_1d(dataset, n, seed=seed)
     queries = point_lookups(keys, batch, seed=seed + 1)
@@ -259,7 +257,7 @@ def run_e17(n: int = 100000, batch: int = 10000, dataset: str = "uniform",
 
     curves = _crossover_arm(
         {name: timed[name] if name in timed else
-         build_index(ONE_DIM_FACTORIES[name], keys)[0] for name in arm},
+         build_index(ONE_DIM_FACTORIES[name], keys)[0] for name in DEFAULT_E17_CROSSOVER},
         point_lookups(keys, _CROSSOVER_POOL, seed=seed + 2), smoke)
 
     if out:
@@ -290,7 +288,7 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
             datasets=None, indexes=None, seed: int = 1,
             range_batch: int = 200, scalar_sample: int = 2000,
             out: str | None = "BENCH_batch_md.json",
-            smoke: bool = False, crossover=DEFAULT_E18_CROSSOVER) -> list[dict]:
+            smoke: bool = False) -> list[dict]:
     """E18: batched vs. per-point query throughput for multi-d indexes.
 
     Mirrors E17 in the multi-dimensional space: for each (dataset, index)
@@ -316,12 +314,11 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
             throughput extrapolates, parity is covered by the test suite.
         out: path of the JSON artifact, or ``None``/"" to skip writing.
         smoke: shrink to a seconds-scale CI configuration.
-        crossover: the crossover arm's indexes, timed on the first
-            dataset (sequence or comma-separated string; ``""`` skips
-            it).  Its curves go to the artifact's ``crossover`` section.
 
     Returns:
         One row per (dataset, index) with scalar/batch ops/sec and speedups.
+        The crossover arm over :data:`DEFAULT_E18_CROSSOVER`, on the first
+        dataset, goes to the artifact's ``crossover`` section.
     """
     if smoke:
         n = min(n, 4000)
@@ -330,10 +327,15 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
         scalar_sample = min(scalar_sample, 400)
         if datasets is None:
             datasets = ("uniform",)
-    dataset_names = _names(datasets) or list(DEFAULT_E18_DATASETS)
-    names = _names(indexes) or list(DEFAULT_E18_INDEXES)
-    arm = _names(crossover)
-    _check_known(names + arm, MULTI_DIM_FACTORIES, "multi-d")
+    if isinstance(datasets, str):
+        datasets = [name for name in datasets.split(",") if name]
+    if isinstance(indexes, str):
+        indexes = [name for name in indexes.split(",") if name]
+    dataset_names = list(datasets) if datasets else list(DEFAULT_E18_DATASETS)
+    names = list(indexes) if indexes else list(DEFAULT_E18_INDEXES)
+    unknown = [name for name in names if name not in MULTI_DIM_FACTORIES]
+    if unknown:
+        raise KeyError(f"unknown multi-d indexes {unknown!r}; have {sorted(MULTI_DIM_FACTORIES)}")
 
     rows = []
     curves: dict[str, dict] = {}
@@ -370,10 +372,11 @@ def run_e18(n: int = 100000, batch: int = 10000, dims: int = 2,
             if type(index).range_query_batch is not MultiDimIndex.range_query_batch:
                 row.update(_measure_range_batch(index, box_lows, box_highs))
             rows.append(row)
-        if dataset == dataset_names[0] and arm:
+        if dataset == dataset_names[0]:
             curves = _crossover_arm(
                 {name: built[name] if name in built else
-                 build_index(MULTI_DIM_FACTORIES[name], points)[0] for name in arm},
+                 build_index(MULTI_DIM_FACTORIES[name], points)[0]
+                 for name in DEFAULT_E18_CROSSOVER},
                 point_lookups(points, _CROSSOVER_POOL, seed=seed + 3), smoke)
 
     if out:

@@ -42,8 +42,9 @@ class FloodIndex(MultiDimIndex):
     name = "flood"
     #: Rows from which ``point_query_batch`` runs the kernel: its per-cell
     #: group loop costs about what a scalar query does until cells repeat
-    #: within a batch (E18's crossover arm at 10⁵ 2-d points; DESIGN.md
-    #: "Small batches").
+    #: within a batch.  At 10⁵ 2-d points it is 7-12% slower at 32 rows
+    #: and 21-23% faster at 48 on all three E18 datasets (E18's crossover
+    #: arm; DESIGN.md "Small batches").
     batch_crossover = 48
 
     def __init__(self, columns_per_dim: int = 16, sort_dim: int | None = None) -> None:

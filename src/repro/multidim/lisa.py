@@ -71,8 +71,11 @@ class LISAIndex(MutableMultiDimIndex):
 
     name = "lisa"
     #: Rows from which ``point_query_batch`` runs the kernel: its per-shard
-    #: group loop costs ~13 µs a row against ~14 µs for a scalar query
-    #: (E18's crossover arm at 10⁵ 2-d points; DESIGN.md "Small batches").
+    #: group loop costs ~13 µs a row against ~14 µs for a scalar query, so
+    #: the curve is flat near the crossover.  At 10⁵ 2-d points the kernel
+    #: loses by 7-12% at 128 rows, ties within 3% at 192 and wins by 3-6%
+    #: at 256 on all three E18 datasets: 192 holds to one row step
+    #: (E18's crossover arm; DESIGN.md "Small batches").
     batch_crossover = 192
 
     def __init__(self, cells_per_dim: int = 16, shard_size: int = 256) -> None:

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-import numpy as np
-
-from repro.bench.batch import CROSSOVER_ROWS, DEFAULT_E17_CROSSOVER, DEFAULT_E17_INDEXES, run_e17
+from repro.bench.batch import (
+    CROSSOVER_ROWS, DEFAULT_E17_CROSSOVER, DEFAULT_E17_INDEXES, _drifted, _first_never_losing,
+    run_e17,
+)
 from repro.bench.runner import ONE_DIM_FACTORIES
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.__main__ import main
@@ -87,26 +88,22 @@ class TestE17CrossoverArm:
             assert curve["batch_crossover"] == type(ONE_DIM_FACTORIES[name]()).batch_crossover
             assert curve["measured"] is None or curve["measured"] in curve["rows"]
 
-    def test_measured_is_where_the_kernel_stops_losing(self):
-        from repro.bench.batch import measure_crossover
+    def test_measured_is_the_first_row_count_from_which_the_kernel_never_loses(self):
+        rows = [1, 2, 4, 8, 12]
+        assert _first_never_losing(rows, [9, 9, 9, 9, 9], [1, 3, 10, 20, 30]) == 4
+        # A win the kernel gives back later does not count.
+        assert _first_never_losing(rows, [9, 2, 9, 9, 9], [1, 3, 8, 20, 30]) == 8
+        assert _first_never_losing(rows, [1, 1, 1, 1, 1], [2, 2, 2, 2, 2]) == 1
+        assert _first_never_losing(rows, [1, 1, 1, 1, 9], [2, 2, 2, 2, 2]) is None
+        assert _first_never_losing(rows, [5, 5, 5, 5, 5], [1, 1, 1, 1, 5]) == 12  # a tie
 
-        index = ONE_DIM_FACTORIES["pgm"]().build(np.arange(2000.0))
-        curve = measure_crossover(index, np.arange(2000.0), rows=(1, 64), calls=3, rounds=1)
-        kernel, scalar = curve["kernel_us"], curve["scalar_us"]
-        expect = None
-        for rows, k_us, s_us in reversed(list(zip(curve["rows"], kernel, scalar))):
-            if k_us > s_us:
-                break
-            expect = rows
-        assert curve["measured"] == expect
-        assert type(index).batch_crossover == 12  # the arm restores the constants
-
-    def test_empty_arm_is_skipped_and_unknown_names_raise(self, tmp_path):
-        out = tmp_path / "bench.json"
-        run_e17(indexes=["rmi"], smoke=True, out=str(out), crossover="")
-        assert json.loads(out.read_text())["crossover"] == {}
-        with pytest.raises(KeyError, match="no-such-index"):
-            run_e17(indexes=["rmi"], smoke=True, out=None, crossover="no-such-index")
+    def test_drift_is_more_than_one_row_step(self):
+        assert CROSSOVER_ROWS[3:6] == (8, 12, 16)
+        assert not _drifted(12, 12)
+        assert not _drifted(8, 12) and not _drifted(16, 12)
+        assert _drifted(4, 12) and _drifted(24, 12)
+        assert _drifted(None, 12)
+        assert not _drifted(2, 1) and _drifted(4, 1)
 
 
 class TestE17Cli:

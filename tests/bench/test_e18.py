@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.bench import batch
 from repro.bench.batch import DEFAULT_E18_INDEXES, run_e18
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.__main__ import main
@@ -62,10 +63,10 @@ class TestRunE18:
         assert {"zm-index", "flood", "grid", "lisa"} <= set(DEFAULT_E18_INDEXES)
         assert "kd-tree" in DEFAULT_E18_INDEXES  # loop-fallback control
 
-    def test_crossover_arm_on_the_first_dataset(self, tmp_path):
+    def test_crossover_arm_on_the_first_dataset(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(batch, "DEFAULT_E18_CROSSOVER", ("zm-index", "grid"))
         out = tmp_path / "bench_md.json"
-        run_e18(indexes=["kd-tree"], datasets="uniform,skew", smoke=True,
-                out=str(out), crossover="zm-index,grid")
+        run_e18(indexes=["kd-tree"], datasets="uniform,skew", smoke=True, out=str(out))
         curves = json.loads(out.read_text())["crossover"]
         assert list(curves) == ["zm-index", "grid"]
         for curve in curves.values():

@@ -5,7 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.interfaces import _BuiltState
 from repro.data import load_1d, load_nd
+
+
+@pytest.fixture(params=["kernel", "scalar"])
+def both_batch_sides(request, monkeypatch) -> str:
+    """Run the test once with every batch call (and a dynamic PGM's
+    per-level probe) taking the family kernel and once taking the
+    scalar loop, whatever its row count and ``batch_crossover``."""
+    kernel = request.param == "kernel"
+    monkeypatch.setattr(_BuiltState, "_use_kernel", lambda self, rows: kernel)
+    return request.param
 
 
 @pytest.fixture(scope="session")

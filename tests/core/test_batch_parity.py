@@ -5,7 +5,9 @@ indexes as much as the generic loop fallback) is strict element-wise
 equality with the scalar path — including misses, duplicate keys at the
 array boundary, and empty indexes.  These tests enforce it for every
 registered factory so a future vectorized override cannot silently
-diverge.
+diverge.  A test taking the ``both_batch_sides`` fixture runs twice, with
+every batch on the family kernel and on the scalar loop, so a test batch
+smaller than a family's ``batch_crossover`` still reaches its kernel.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ BOXES_ND = (
 
 @pytest.mark.parametrize("name", sorted(ONE_DIM_FACTORIES))
 class TestOneDimBatchParity:
-    def test_lookup_batch_matches_scalar_loop(self, name):
+    def test_lookup_batch_matches_scalar_loop(self, name, both_batch_sides):
         index = ONE_DIM_FACTORIES[name]().build(KEYS_1D)
         batch = index.lookup_batch(QUERIES_1D)
         scalar = [index.lookup(float(q)) for q in QUERIES_1D]
@@ -76,14 +78,14 @@ class TestOneDimBatchParity:
         for i, (b, s) in enumerate(zip(batch, scalar)):
             assert b == s, f"{name}: query {QUERIES_1D[i]} -> batch {b!r}, scalar {s!r}"
 
-    def test_contains_batch_matches_scalar(self, name):
+    def test_contains_batch_matches_scalar(self, name, both_batch_sides):
         index = ONE_DIM_FACTORIES[name]().build(KEYS_1D)
         got = index.contains_batch(QUERIES_1D)
         expect = [index.contains(float(q)) for q in QUERIES_1D]
         assert got.dtype == bool
         assert list(got) == expect
 
-    def test_empty_index_all_misses(self, name):
+    def test_empty_index_all_misses(self, name, both_batch_sides):
         index = ONE_DIM_FACTORIES[name]().build([])
         batch = index.lookup_batch(QUERIES_1D[:5])
         assert all(r is None for r in batch)
@@ -117,8 +119,11 @@ def _mutated_dynamic_pgm():
     return index, np.array([*written, 1234.5])
 
 
+@pytest.mark.usefixtures("both_batch_sides")
 class TestMutatedDynamicPGMParity:
-    """The base-plus-delta kernel over merged levels, buffer and tombstones."""
+    """The base-plus-delta kernel over merged levels, buffer and tombstones,
+    with every level's probe (and merge-time pruning) on each side of the
+    dispatch."""
 
     def test_every_layer_is_populated(self):
         index, _ = _mutated_dynamic_pgm()
@@ -146,7 +151,7 @@ class TestMutatedDynamicPGMParity:
 
 @pytest.mark.parametrize("name", sorted(MULTI_DIM_FACTORIES))
 class TestMultiDimBatchParity:
-    def test_point_query_batch_matches_scalar_loop(self, name):
+    def test_point_query_batch_matches_scalar_loop(self, name, both_batch_sides):
         index = MULTI_DIM_FACTORIES[name]().build(POINTS_ND)
         batch = index.point_query_batch(QUERIES_ND)
         scalar = [index.point_query(q) for q in QUERIES_ND]
@@ -160,14 +165,14 @@ class TestMultiDimBatchParity:
         with pytest.raises(ValueError):
             index.point_query_batch(QUERIES_ND[0])
 
-    def test_empty_batch_and_empty_index(self, name):
+    def test_empty_batch_and_empty_index(self, name, both_batch_sides):
         index = MULTI_DIM_FACTORIES[name]().build(POINTS_ND)
         assert index.point_query_batch(np.empty((0, 2))).shape == (0,)
         empty = MULTI_DIM_FACTORIES[name]().build(np.empty((0, 2)))
         batch = empty.point_query_batch(QUERIES_ND[:5])
         assert all(r is None for r in batch)
 
-    def test_out_of_domain_queries_all_miss(self, name):
+    def test_out_of_domain_queries_all_miss(self, name, both_batch_sides):
         index = MULTI_DIM_FACTORIES[name]().build(POINTS_ND)
         far = np.vstack([
             RNG.uniform(-500.0, -400.0, (6, 2)),
@@ -226,6 +231,28 @@ def _rows(queries, count):
 
 def _counters(index):
     return {name: getattr(index.stats, name) for name in _COUNTERS}
+
+
+#: Build sets for the crossover cases: the parity sets plus a key (point)
+#: at zero, which the ``-0.0`` probes below must hit.
+KEYS_ZERO_1D = np.sort(np.append(KEYS_1D, 0.0))
+POINTS_ZERO_ND = np.vstack([POINTS_ND, [[0.0, 0.0]]])
+
+#: Rows every crossover case's batches start with: NaN, ±inf and -0.0.
+SPECIAL_1D = np.array([np.nan, np.inf, -np.inf, -0.0])
+SPECIAL_ND = np.array([
+    [np.nan, POINTS_ND[5, 1]], [POINTS_ND[5, 0], np.nan], [np.nan, np.nan],
+    [np.inf, POINTS_ND[6, 1]], [POINTS_ND[6, 0], -np.inf], [-np.inf, np.inf],
+    [-0.0, -0.0], [-0.0, 0.0],
+])
+
+
+def _crossover_batches(special, queries, rows):
+    """Consecutive ``rows``-row batches over ``special`` then ``queries``
+    (cycling): the batches holding the special rows, plus one more."""
+    count = rows * (1 - (-special.shape[0] // rows))
+    pool = _rows(np.concatenate([special, queries]), count)
+    return [pool[i:i + rows] for i in range(0, count, rows)]
 
 
 def _crossover_cases(names, factories):
@@ -320,8 +347,10 @@ class TestVectorizedOverridesStayVectorized:
         assert "batch_crossover" not in vars(factories[name]())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCrossoverParity:
-    """Rows k - 1, k and k + 1 around each family's ``batch_crossover``.
+    """Rows k - 1, k and k + 1 around each family's ``batch_crossover``,
+    in batches that carry NaN, ±inf and -0.0 rows.
 
     Answers equal the scalar loop on both sides.  Below k the batch call
     *is* the scalar loop, so its counters equal the loop's exactly; from
@@ -330,39 +359,44 @@ class TestCrossoverParity:
 
     @pytest.mark.parametrize("name, rows", _crossover_cases(KERNELS_1D, ONE_DIM_FACTORIES))
     def test_one_dim_answers_and_counters(self, name, rows):
-        index = ONE_DIM_FACTORIES[name]().build(KEYS_1D)
-        qs = _rows(QUERIES_1D, rows)
+        index = ONE_DIM_FACTORIES[name]().build(KEYS_ZERO_1D)
+        batches = _crossover_batches(SPECIAL_1D, QUERIES_1D, rows)
         index.stats.reset_counters()
-        batch = index.lookup_batch(qs)
+        batch = [answer for qs in batches for answer in index.lookup_batch(qs).tolist()]
         batch_counters = _counters(index)
         index.stats.reset_counters()
-        scalar = [index.lookup(float(q)) for q in qs]
+        scalar = [index.lookup(float(q)) for qs in batches for q in qs]
         scalar_counters = _counters(index)
-        assert batch.tolist() == scalar
-        assert index.contains_batch(qs).tolist() == [s is not None for s in scalar]
+        assert batch == scalar
+        assert scalar[3] is not None  # -0.0 hits the key 0.0
+        contains = [hit for qs in batches for hit in index.contains_batch(qs).tolist()]
+        assert contains == [s is not None for s in scalar]
         if rows < type(index).batch_crossover:
             assert batch_counters == scalar_counters
         else:
             index.stats.reset_counters()
-            index._lookup_batch(qs)
+            for qs in batches:
+                index._lookup_batch(qs)
             assert batch_counters == _counters(index)
 
     @pytest.mark.parametrize("name, rows", _crossover_cases(KERNELS_ND, MULTI_DIM_FACTORIES))
     def test_multi_dim_answers_and_counters(self, name, rows):
-        index = MULTI_DIM_FACTORIES[name]().build(POINTS_ND)
-        qs = _rows(QUERIES_ND, rows)
+        index = MULTI_DIM_FACTORIES[name]().build(POINTS_ZERO_ND)
+        batches = _crossover_batches(SPECIAL_ND, QUERIES_ND, rows)
         index.stats.reset_counters()
-        batch = index.point_query_batch(qs)
+        batch = [answer for qs in batches for answer in index.point_query_batch(qs).tolist()]
         batch_counters = _counters(index)
         index.stats.reset_counters()
-        scalar = [index.point_query(q) for q in qs]
+        scalar = [index.point_query(q) for qs in batches for q in qs]
         scalar_counters = _counters(index)
-        assert batch.tolist() == scalar
+        assert batch == scalar
+        assert scalar[6] == scalar[7] == POINTS_ND.shape[0]  # -0.0 hits the point at zero
         if rows < type(index).batch_crossover:
             assert batch_counters == scalar_counters
         else:
             index.stats.reset_counters()
-            index._point_query_batch(qs)
+            for qs in batches:
+                index._point_query_batch(qs)
             assert batch_counters == _counters(index)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -371,7 +405,7 @@ class TestCrossoverParity:
 
         index, written = _mutated_dynamic_pgm()
         rows = DynamicPGMIndex.batch_crossover + offset
-        queries = np.concatenate([written, QUERIES_1D, [np.inf, -0.0]])
+        queries = np.concatenate([SPECIAL_1D, written, QUERIES_1D])
         for start in range(0, queries.size - rows, rows):
             qs = queries[start:start + rows]
             assert index.lookup_batch(qs).tolist() == [index.lookup(float(q)) for q in qs]

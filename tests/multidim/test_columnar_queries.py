@@ -133,7 +133,7 @@ class TestNaNQueries:
     no point matches it, no box with a NaN corner holds anything, and a
     NaN kNN query has no neighbours."""
 
-    def test_nan_behaviour_is_pinned(self, name):
+    def test_nan_behaviour_is_pinned(self, name, both_batch_sides):
         points = np.random.default_rng(3).uniform(0.0, 100.0, (200, 2))
         index = MULTI_DIM_FACTORIES[name]().build(points)
         nan = float("nan")

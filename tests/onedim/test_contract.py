@@ -53,12 +53,13 @@ class TestLookupContract:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("probe", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
-    def test_infinite_probes_miss(self, any_factory, uniform_keys, probe):
+    def test_infinite_probes_miss(self, any_factory, uniform_keys, probe, both_batch_sides):
         """``±inf`` and NaN are plain misses, scalar and batch alike: a
         learned model's prediction there must saturate (NaN orders after
         every key), never reach ``int()`` as an infinity or a NaN.  The
         second key set ends in a long sparse tail, so models fit flat
-        pieces whose slope 0 times ``±inf`` is NaN."""
+        pieces whose slope 0 times ``±inf`` is NaN.  The two-row batch
+        runs on both sides of the dispatch, kernel and scalar loop."""
         for keys in (uniform_keys, FLAT_TAIL_KEYS):
             index = any_factory().build(keys)
             assert index.lookup(probe) is None

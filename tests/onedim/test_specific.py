@@ -119,7 +119,7 @@ class TestPGM:
         assert index.lookup(2.0) is None
         assert len(index) == 2
 
-    def test_dynamic_delete_survives_a_merge_over_an_older_copy(self):
+    def test_dynamic_delete_survives_a_merge_over_an_older_copy(self, both_batch_sides):
         """A tombstone must outlive a merge while an older level still
         holds its key, or the deleted key's old value comes back."""
         index = DynamicPGMIndex(buffer_capacity=4).build(np.arange(64.0))
@@ -135,7 +135,7 @@ class TestPGM:
         assert 5.0 not in dict(index.range_query(4.0, 6.0))
         assert len(index) == 70
 
-    def test_dynamic_newest_level_answers_even_with_none(self):
+    def test_dynamic_newest_level_answers_even_with_none(self, both_batch_sides):
         """The newest copy of a key decides, including a None value."""
         index = DynamicPGMIndex(buffer_capacity=4).build(np.arange(64.0))
         index.insert(3.0, None)
